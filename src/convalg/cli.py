@@ -201,19 +201,20 @@ def run(argv=None) -> int:
         return 2
     try:
         result, passed = _run_command(cfg)
+        report, code = {"result": result, "error": None}, 0 if passed else 1
     except ClassificationError as exc:
-        _emit(cfg, {"result": None,
-                    "error": {"type": type(exc).__name__, "message": str(exc),
-                              "details": _jsonable(exc.details)}})
-        return 1
-    except (SchemaError, json.JSONDecodeError, OSError, ValueError) as exc:
+        report, code = {"result": None,
+                        "error": {"type": type(exc).__name__, "message": str(exc),
+                                  "details": _jsonable(exc.details)}}, 1
+    except (ConvalgError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConvalgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    try:
+        _emit(cfg, report)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 2
-    _emit(cfg, {"result": result, "error": None})
-    return 0 if passed else 1
+    return code
 
 
 def main() -> None:

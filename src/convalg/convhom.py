@@ -13,14 +13,13 @@ structure breaks; construct() builds the table back from (E, sigma).
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import AxiomViolation, NotRootOfUnity, RowNotHomomorphic
-from .groups import Group
+from .groups import Group, snap_root, unit_roots
 from .operators import DEFAULT_TOL, Operator, check_conv_homomorphism
 
 
@@ -37,14 +36,6 @@ class ConvClassification:
         if eta not in self.sigma:
             raise KeyError(f"eta={eta} is outside the support; sigma is undefined there")
         return self.sigma[eta]
-
-
-def _snap_root_index(z: complex, n: int, tol: float) -> tuple[int, float]:
-    """Nearest m with z ~ e^{-2i pi m / n}, plus the angular deviation."""
-    theta = cmath.phase(z)
-    m = round(-theta * n / (2.0 * np.pi)) % n
-    dev = abs(cmath.phase(z * cmath.exp(2j * np.pi * m / n)))
-    return m, dev
 
 
 def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
@@ -73,7 +64,6 @@ def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
     # a basis-check pass at tol still leaves every recovered quantity up to
     # ~2 tol off its snapped value, so all snap gates carry a 4 tol floor
     snap_window = 4.0 * tol
-    angle_window = tol * max(n / np.pi, 4.0)
     for eta in range(n):
         row = table[eta]
         v0 = row[0]
@@ -97,8 +87,8 @@ def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
         root_dev = abs(z ** n - 1.0)
         if root_dev > tol * max(n * n / np.pi, 2.0 * n + 2.0):
             raise NotRootOfUnity(eta, z, root_dev)
-        m, dev = _snap_root_index(z, n, tol)
-        if dev > angle_window:
+        m, dev = snap_root(z.conjugate(), n, tol)
+        if m is None:
             raise NotRootOfUnity(eta, z, dev)
         powers = z ** np.arange(n)
         residual = max(residual, float(np.max(np.abs(row - powers))), root_dev)
@@ -123,7 +113,7 @@ def construct(group: Group, support, sigma: Mapping[int, int]) -> Operator:
         s = sigma[eta]
         if not 0 <= int(s) < n:
             raise ValueError(f"sigma({eta}) = {s} is out of range 0..{n - 1}")
-        table[eta] = np.exp(-2j * np.pi * k * int(s) / n)
+        table[eta] = unit_roots(-k * int(s), n)
     return Operator.from_table(group, table)
 
 

@@ -9,15 +9,18 @@ A Signal is a complex-valued function on such a group.  The algebra:
     fhat(eta)    = sum_k f(k) e^{-2i pi k.eta}   (transform; k.eta = sum k_i eta_i / n_i)
     E[f]         = sum_j f(j) = fhat(0)
 
-The inverse transform carries the 1/order factor.  Transforms are direct
-O(order^2) summation; a fast path exists for a single power-of-two factor.
+The inverse transform carries the 1/order factor.  Transforms are numpy.fft
+n-dimensional FFTs over the factor axes, for any moduli; convolution goes
+through the convolution theorem, f * g = idft(dft(f) . dft(g)).
+unit_roots and snap_root hold the e^{2i pi m / n} lattice that the
+classifiers build their tables from and snap recovered phases onto.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -84,11 +87,6 @@ class Group:
             idx //= n
         return tuple(reversed(coords))
 
-    def coordinates(self) -> np.ndarray:
-        """(order, nfactors) array: row i = coordinates of element i."""
-        grids = np.meshgrid(*[np.arange(n) for n in self.factors], indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
 
 @dataclass(frozen=True, eq=False)
 class Signal:
@@ -146,54 +144,37 @@ def pointwise_mul(f: Signal, g: Signal) -> Signal:
 def convolve(f: Signal, g: Signal) -> Signal:
     """(f * g)(x) = sum_t f(t) g(x - t), the group difference taken per factor."""
     group = _same_group(f, g)
-    n = group.order
-    out = np.empty(n, dtype=np.complex128)
-    if group.is_cyclic:
-        idx = np.arange(n)
-        for x in range(n):
-            out[x] = f.values @ g.values[(x - idx) % n]
-    else:
-        coords = group.coordinates()            # (n, nfactors)
-        moduli = np.array(group.factors)
-        radix = np.concatenate([[1], np.cumprod(moduli[::-1])[:-1]])[::-1]
-        for x in range(n):
-            diff = (coords[x] - coords) % moduli
-            out[x] = f.values @ g.values[diff @ radix]
-    return Signal(group, out)
+    fg = np.fft.fftn(f.values.reshape(group.factors)) * np.fft.fftn(
+        g.values.reshape(group.factors))
+    return Signal(group, np.fft.ifftn(fg).ravel())
 
 
-@lru_cache(maxsize=32)
-def _char_matrix(n: int, sign: int) -> np.ndarray:
-    """Matrix W[eta, k] = exp(sign * 2i pi k eta / n), cached read-only."""
-    k = np.arange(n)
-    w = np.exp(sign * 2j * np.pi * np.outer(k, k) / n)
-    w.flags.writeable = False
-    return w
+def dft(f: Signal) -> Signal:
+    """Transform fhat(eta) = sum_k f(k) e^{-2i pi <k, eta>}."""
+    return Signal(f.group, np.fft.fftn(f.values.reshape(f.group.factors)).ravel())
 
 
-def _apply_per_factor(values: np.ndarray, factors: tuple[int, ...], sign: int) -> np.ndarray:
-    t = values.reshape(factors)
-    for axis, n in enumerate(factors):
-        t = np.moveaxis(np.tensordot(_char_matrix(n, sign), t, axes=([1], [axis])),
-                        0, axis)
-    return t.reshape(-1)
-
-
-def dft(f: Signal, *, fast: bool = False) -> Signal:
-    """Transform fhat(eta) = sum_k f(k) e^{-2i pi <k, eta>}.
-
-    Direct summation; with fast=True a single power-of-two factor is routed
-    through np.fft.fft (identical convention, no normalization).
-    """
-    group = f.group
-    if fast and group.is_cyclic and group.n & (group.n - 1) == 0:
-        return Signal(group, np.fft.fft(f.values))
-    return Signal(group, _apply_per_factor(f.values, group.factors, -1))
-
-
-def idft(f: Signal, *, fast: bool = False) -> Signal:
+def idft(f: Signal) -> Signal:
     """Inverse transform, (1/order) sum with the opposite phase sign."""
-    group = f.group
-    if fast and group.is_cyclic and group.n & (group.n - 1) == 0:
-        return Signal(group, np.fft.ifft(f.values))
-    return Signal(group, _apply_per_factor(f.values, group.factors, +1) / group.order)
+    return Signal(f.group, np.fft.ifftn(f.values.reshape(f.group.factors)).ravel())
+
+
+def unit_roots(e, n: int) -> np.ndarray:
+    """e^{2i pi (e mod n) / n} for an integer array e.
+
+    Reducing the exponent first keeps the angle in [0, 2 pi), so large
+    products like k * sigma lose no accuracy.
+    """
+    return np.exp(2j * np.pi * (np.asarray(e) % n) / n)
+
+
+def snap_root(z: complex, n: int, tol: float) -> tuple[Optional[int], float]:
+    """Nearest m with z ~ e^{2i pi m / n}, and the angular deviation from it.
+
+    m is None when the deviation exceeds the window tol * max(n / pi, 4).
+    A check that passes at tol still leaves a recovered quantity up to
+    ~2 tol off its snapped value, hence the 4 tol floor.
+    """
+    m = round(cmath.phase(z) * n / (2.0 * np.pi)) % n
+    dev = abs(cmath.phase(z * complex(unit_roots(-m, n))))
+    return (m if dev <= tol * max(n / np.pi, 4.0) else None), dev

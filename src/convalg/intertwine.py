@@ -17,14 +17,13 @@ phases to the lattice, and verifies the whole table against the rebuild.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (EntryVanishes, PhaseOffLattice, ReconstructionMismatch,
                      ZeroOperator)
-from .groups import Group, Signal
+from .groups import Group, Signal, snap_root, unit_roots
 from .operators import DEFAULT_TOL, AxiomReport, Operator, Witness, rel_residual
 
 
@@ -103,7 +102,7 @@ def construct_intertwiner(group: Group, k0: int, m0: int, m1: int,
     n = group.n
     j = np.arange(n)
     ell = np.arange(n)[:, None]
-    table = c * np.exp(2j * np.pi * (ell * m1 - j[None, :] * (k0 * ell + m0)) / n)
+    table = c * unit_roots(ell * m1 - j[None, :] * (k0 * ell + m0), n)
     return Operator.from_table(group, table)
 
 
@@ -132,17 +131,11 @@ def check_intertwining(T: Operator, phi: PhaseFunction,
 
 
 def _lattice_index(z: complex, n: int, tol: float, j: int) -> int:
-    """Index m with z ~ e^{2i pi m / n}; PhaseOffLattice if the snap misses.
-
-    Same snapping policy as the convolution classifier, including the 4 tol
-    floor on the angular window.
-    """
-    theta = cmath.phase(z)
-    m = round(theta * n / (2.0 * np.pi)) % n
-    dev = abs(cmath.phase(z * cmath.exp(-2j * np.pi * m / n)))
-    if dev > tol * max(n / np.pi, 4.0):
+    """Index m with z ~ e^{2i pi m / n}; PhaseOffLattice if the snap misses."""
+    m, dev = snap_root(z, n, tol)
+    if m is None:
         raise PhaseOffLattice(j, dev)
-    return int(m)
+    return m
 
 
 def classify_intertwiner(T: Operator, tol: float = DEFAULT_TOL) -> IntertwinerClassification:

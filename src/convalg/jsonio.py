@@ -8,6 +8,7 @@ tests.  Loaders raise SchemaError with the offending field path.
 from __future__ import annotations
 
 import json
+import os
 from typing import Any, Mapping
 
 import numpy as np
@@ -45,9 +46,13 @@ def complex_to_json(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def _is_number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def complex_from_json(v: Any, path: str) -> complex:
     if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(isinstance(x, (int, float)) for x in v)):
+            or not all(_is_number(x) for x in v)):
         raise SchemaError("complex values are [re, im] pairs", path)
     return complex(v[0], v[1])
 
@@ -59,8 +64,11 @@ def values_to_json(values: np.ndarray) -> list[list[float]]:
 def values_from_json(v: Any, path: str) -> np.ndarray:
     if not isinstance(v, list):
         raise SchemaError("expected a list of [re, im] pairs", path)
-    return np.array([complex_from_json(x, f"{path}[{i}]") for i, x in enumerate(v)],
-                    dtype=np.complex128)
+    values = np.array([complex_from_json(x, f"{path}[{i}]") for i, x in enumerate(v)],
+                      dtype=np.complex128)
+    if not np.all(np.isfinite(values)):
+        raise SchemaError("values must be finite (a literal overflowed)", path)
+    return values
 
 
 # -- signals and operators ----------------------------------------------------
@@ -159,7 +167,7 @@ def phase_function_to_json(phi: PhaseFunction) -> list[float]:
 
 
 def phase_function_from_json(obj: Any, path: str = "$") -> PhaseFunction:
-    if not isinstance(obj, list) or not all(isinstance(x, (int, float)) for x in obj):
+    if not isinstance(obj, list) or not all(_is_number(x) for x in obj):
         raise SchemaError("a phase function is a list of angles in turns", path)
     return PhaseFunction.from_turns(obj)
 
@@ -257,12 +265,27 @@ def construct_params_from_json(obj: Any, path: str = "$") -> dict:
 
 
 def dump(obj: dict, path: str) -> None:
-    """Deterministic serialization: sorted keys, fixed layout, trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """Deterministic serialization: sorted keys, fixed layout, trailing newline.
+
+    The document goes to a temporary file beside path, renamed over path once
+    complete, so a failed write leaves no truncated file behind.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _reject_constant(name: str) -> float:
+    raise SchemaError(f"non-finite number {name} is not allowed")
 
 
 def load(path: str) -> Any:
+    """Parse a JSON file; NaN and Infinity constants raise SchemaError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)

@@ -74,6 +74,8 @@ class Operator:
             n = group.order
             if table.shape != (n, n):
                 raise ValueError(f"dense table must be {n}x{n}, got {table.shape}")
+            if not np.all(np.isfinite(table.view(np.float64))):
+                raise ValueError("operator table entries must be finite")
             table.flags.writeable = False
         self.table = table
         self._evaluate = evaluate
@@ -103,16 +105,22 @@ class Operator:
 
     @classmethod
     def dft(cls, group: Group, *, unitary: bool = False) -> "Operator":
-        n = group.order
-        k = np.arange(n)
-        w = np.exp(-2j * np.pi * np.outer(k, k) / n)
-        return cls.from_table(group, w / np.sqrt(n) if unitary else w)
+        """Dense form of groups.dft, scaled by 1/sqrt(order) when unitary."""
+        return cls._transform(group, np.fft.fftn, "ortho" if unitary else "backward")
 
     @classmethod
     def idft(cls, group: Group) -> "Operator":
+        """Dense form of groups.idft."""
+        return cls._transform(group, np.fft.ifftn, "backward")
+
+    @classmethod
+    def _transform(cls, group: Group, fftn, norm: str) -> "Operator":
+        # columns are the transforms of the point masses: fftn of the identity
+        # over its row axes, one axis per cyclic factor
         n = group.order
-        k = np.arange(n)
-        return cls.from_table(group, np.exp(2j * np.pi * np.outer(k, k) / n) / n)
+        eye = np.eye(n).reshape(group.factors * 2)
+        table = fftn(eye, axes=tuple(range(len(group.factors))), norm=norm)
+        return cls.from_table(group, table.reshape(n, n))
 
     def __call__(self, a: Signal) -> Signal:
         return apply(self, a)
@@ -167,15 +175,9 @@ def check_conv_homomorphism(T: Operator, mode: str = "basis", *,
         if not T.linear_hint:
             raise ValueError("basis mode needs a dense or linear-hinted operator")
         D = T.to_dense().table if not T.is_dense else T.table
-        if group.is_cyclic:
-            k = np.arange(n)
-            sums = (k[:, None] + k[None, :]) % n
-        else:
-            coords = group.coordinates()
-            moduli = np.array(group.factors)
-            radix = np.concatenate([[1], np.cumprod(moduli[::-1])[:-1]])[::-1]
-            s = (coords[:, None, :] + coords[None, :, :]) % moduli
-            sums = s @ radix
+        coords = np.unravel_index(np.arange(n), group.factors)
+        sums = np.ravel_multi_index(tuple(c[:, None] + c[None, :] for c in coords),
+                                    group.factors, mode="wrap")
         lhs = D[:, sums]                          # (n_rows, k, l) = T(delta_{k+l})
         rhs = D[:, :, None] * D[:, None, :]       # T(delta_k).T(delta_l)
         scale = 1.0 + np.maximum(np.abs(lhs).max(axis=0), np.abs(rhs).max(axis=0))

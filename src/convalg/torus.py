@@ -25,6 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (CharacterEquationViolation, NotUnimodular, SnapFailure)
+from .groups import unit_roots
 from .operators import DEFAULT_TOL, AxiomReport, Witness
 
 
@@ -49,12 +50,7 @@ class TorusGrid:
 
 def character(grid: TorusGrid, a: int) -> np.ndarray:
     """Samples of x -> e^{2i pi a x}."""
-    return np.exp(2j * np.pi * a * grid.points)
-
-
-def coefficient(grid: TorusGrid, f: np.ndarray, nu: int) -> complex:
-    """Quadrature Fourier coefficient (1/M) sum f_i e^{-2i pi nu i / M}."""
-    return complex(np.sum(f * np.exp(-2j * np.pi * nu * grid.points)) * grid.weight)
+    return unit_roots(a * np.arange(grid.M), grid.M)
 
 
 @dataclass(frozen=True)
@@ -94,7 +90,7 @@ def build_operator(family: KernelFamily) -> np.ndarray:
 def fourier_coefficient_operator(grid: TorusGrid, N: int) -> np.ndarray:
     """The map f -> (fhat(xi))_{xi=-N..N} as a dense table."""
     xi = np.arange(-N, N + 1)[:, None]
-    return np.exp(-2j * np.pi * xi * grid.points[None, :]) * grid.weight
+    return unit_roots(-xi * np.arange(grid.M)[None, :], grid.M) * grid.weight
 
 
 def check_character_equation(h: np.ndarray, tol: float = DEFAULT_TOL) -> AxiomReport:
@@ -152,7 +148,7 @@ def recover_frequency(h: np.ndarray, tol: float = DEFAULT_TOL, *,
     a = int(round(estimate))
     if abs(estimate - a) > 0.25:
         raise SnapFailure(float(estimate), a, float(abs(estimate - a)))
-    dev = float(np.max(np.abs(h - np.exp(2j * np.pi * a * np.arange(M) / M))))
+    dev = float(np.max(np.abs(h - unit_roots(a * np.arange(M), M))))
     if dev > tol:
         raise SnapFailure(float(estimate), a, dev)
     return a
@@ -202,17 +198,21 @@ def classify_torus_operator(table: np.ndarray, grid: TorusGrid,
         freq_map[xi] = -int(a)
         residual = max(residual, report.max_residual)
 
+    # band-limited signals f = sum_nu c_nu e^{2i pi nu x}; the expected output
+    # at xi in the support is the quadrature coefficient fft(f)[phi(xi)] / M
     rng = np.random.default_rng(seed)
     table = np.asarray(table, dtype=np.complex128)
     band = min(N + 1, M // 4)
     nus = np.arange(-band, band + 1)
+    waves = unit_roots(np.outer(np.arange(M), nus), M)
+    rows = np.array(support, dtype=int) + N
+    freqs = np.array([freq_map[xi] for xi in support], dtype=int) % M
     for _ in range(verify_signals):
         coeffs = rng.normal(size=nus.size) + 1j * rng.normal(size=nus.size)
-        f = (coeffs[None, :] * np.exp(2j * np.pi * np.outer(grid.points, nus))).sum(axis=1)
+        f = waves @ coeffs
         out = table @ f
-        expect = np.array([
-            coefficient(grid, f, freq_map[xi]) if xi in freq_map else 0.0
-            for xi in family.frequencies])
+        expect = np.zeros(2 * N + 1, dtype=np.complex128)
+        expect[rows] = np.fft.fft(f)[freqs] * grid.weight
         scale = 1.0 + max(float(np.max(np.abs(out))), float(np.max(np.abs(expect))))
         residual = max(residual, float(np.max(np.abs(out - expect))) / scale)
     return TorusClassification(N, tuple(support), freq_map, residual)

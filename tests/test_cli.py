@@ -197,6 +197,31 @@ class TestErrorHandling:
         assert run(["classify-conv", "--input", str(FIXTURES / "dft_n8.json"),
                     "--tol", "0"]) == 2
 
+    @pytest.mark.parametrize("command, fixture, literal", [
+        ("check-axioms", "identity_n4.json", "NaN"),
+        ("classify-torus", "fourier_torus_m64_n8.json", "Infinity"),
+        ("classify-torus", "fourier_torus_m64_n8.json", "1e999"),
+    ])
+    def test_nonfinite_entry(self, tmp_path, capsys, command, fixture, literal):
+        doc = read(FIXTURES / fixture)
+        values = doc["columns"][0] if "columns" in doc else doc["kernels"][0][1]
+        values[1] = "entry"
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc).replace('"entry"', f"[{literal}, 0.0]"))
+        assert run([command, "--input", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "rep.json"
+        assert run(["classify-conv", "--input", str(FIXTURES / "dft_n8.json"),
+                    "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not out.parent.exists()
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):

@@ -1,3 +1,7 @@
+import importlib.util
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,7 @@ from convalg import (Group, Operator, Signal, TorusGrid, check_conv_homomorphism
 from convalg.errors import SchemaError
 from convalg.intertwine import PhaseFunction
 from convalg.jsonio import (axiom_report_to_json, complex_from_json,
-                            conv_classification_to_json,
+                            conv_classification_to_json, dump,
                             exchange_classification_to_json,
                             intertwiner_classification_to_json,
                             kernel_family_from_json, kernel_family_to_json,
@@ -49,6 +53,8 @@ class TestSignal:
             complex_from_json([1.0], "$")
         with pytest.raises(SchemaError):
             complex_from_json("1+2j", "$")
+        with pytest.raises(SchemaError):
+            complex_from_json([True, False], "$")
 
 
 class TestOperator:
@@ -126,6 +132,8 @@ class TestPhaseFunction:
     def test_rejects_non_numeric(self):
         with pytest.raises(SchemaError):
             phase_function_from_json(["x"])
+        with pytest.raises(SchemaError):
+            phase_function_from_json([True, False])
 
 
 class TestKernelFamily:
@@ -174,3 +182,47 @@ class TestPhaseSpace:
         pf, pg = pair_from_json(pair_to_json(f, f))
         assert np.allclose(pf.values, f.values)
         assert np.allclose(pg.values, f.values)
+
+
+class TestDump:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        p = tmp_path / "rep.json"
+        dump({"a": 1}, p)
+        with pytest.raises(ValueError):
+            dump({"a": float("nan")}, p)
+        assert json.loads(p.read_text()) == {"a": 1}
+        assert [q.name for q in tmp_path.iterdir()] == ["rep.json"]
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def assert_same_document(new, old, path="$"):
+    """Same keys, lengths and types everywhere; numbers equal to 1e-12."""
+    assert type(new) is type(old), path
+    if isinstance(old, dict):
+        assert new.keys() == old.keys(), path
+        for k in old:
+            assert_same_document(new[k], old[k], f"{path}.{k}")
+    elif isinstance(old, list):
+        assert len(new) == len(old), path
+        for i, (a, b) in enumerate(zip(new, old)):
+            assert_same_document(a, b, f"{path}[{i}]")
+    elif isinstance(old, (int, float)) and not isinstance(old, bool):
+        assert abs(new - old) <= 1e-12, path
+    else:
+        assert new == old, path
+
+
+def test_regenerated_fixtures_match_committed(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "gen_fixtures", ROOT / "tools" / "gen_fixtures.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    monkeypatch.setattr(gen, "HERE", tmp_path)
+    gen.main()
+    committed = sorted(p.name for p in (ROOT / "fixtures").glob("*.json"))
+    assert sorted(p.name for p in tmp_path.glob("*.json")) == committed
+    for name in committed:
+        assert_same_document(json.loads((tmp_path / name).read_text()),
+                             json.loads((ROOT / "fixtures" / name).read_text()), name)

@@ -45,6 +45,10 @@ class TestApply:
         with pytest.raises(GroupMismatch):
             apply(Operator.identity(Group(3)), delta(Group(4), 0))
 
+    def test_nonfinite_table_rejected(self):
+        with pytest.raises(ValueError):
+            Operator.from_table(Group(2), [[1, 0], [0, np.nan]])
+
     def test_blackbox_wrong_group_is_error(self):
         g = Group(4)
         bad = Operator.from_function(g, lambda a: delta(Group(5), 0))
@@ -57,6 +61,16 @@ class TestConvHomomorphismCheck:
         for n in (2, 5, 16, 64):
             rep = check_conv_homomorphism(Operator.dft(Group(n)))
             assert rep.passed and rep.max_residual <= 1e-10
+
+    @pytest.mark.parametrize("factors", [(2, 3), (3, 2, 2)])
+    def test_product_group_transform_tables(self, factors):
+        g = Group(factors)
+        a = disc_signal(g, np.random.default_rng(6))
+        assert np.allclose(apply(Operator.dft(g), a).values, direct_dft(a), atol=1e-12)
+        inverse = direct_dft(Signal(g, a.values.conj())).conj() / g.order
+        assert np.allclose(apply(Operator.idft(g), a).values, inverse, atol=1e-12)
+        rep = check_conv_homomorphism(Operator.dft(g))
+        assert rep.passed and rep.max_residual <= 1e-12
 
     def test_zero_passes(self):
         rep = check_conv_homomorphism(Operator.zero(Group(6)))

@@ -6,7 +6,7 @@ from convalg import (TorusGrid, check_character_equation,
                      fourier_coefficient_operator, recover_frequency)
 from convalg.errors import (CharacterEquationViolation, NotUnimodular,
                             SnapFailure)
-from convalg.torus import KernelFamily, build_operator, character, coefficient
+from convalg.torus import KernelFamily, build_operator, character
 
 
 def noisy_character(grid, a, amplitude, seed):
@@ -168,18 +168,6 @@ class TestClassify:
 
 
 class TestQuadrature:
-    def test_bandlimited_coefficients_exact(self):
-        # trapezoid-equivalent grid sums are exact below the aliasing limit
-        M = 64
-        grid = TorusGrid(M)
-        rng = np.random.default_rng(2)
-        freqs = np.arange(-M // 4 + 1, M // 4)
-        coeffs = rng.normal(size=freqs.size) + 1j * rng.normal(size=freqs.size)
-        f = (coeffs[None, :] * np.exp(2j * np.pi * np.outer(grid.points, freqs))
-             ).sum(axis=1)
-        for nu, c_true in zip(freqs, coeffs):
-            assert abs(coefficient(grid, f, nu) - c_true) <= 1e-10
-
     def test_convolution_to_product_at_desk_scale(self):
         # operators built from character kernels send circular convolution
         # of band-limited signals to entrywise products
