@@ -4,10 +4,9 @@ concrete violation witness otherwise), plus desk-scale circle-grid and
 twisted-convolution counterparts."""
 
 from .convhom import ConvClassification, classify, construct, roundtrip_residual
-from .exchange import (BetaProbe, ExchangeClassification,
-                       check_involution_symmetry, classify_exchange,
-                       classify_fourier_exchange, construct_exchange,
-                       probe_beta)
+from .exchange import (ExchangeClassification, check_involution_symmetry,
+                       classify_exchange, classify_fourier_exchange,
+                       construct_exchange)
 from .groups import (Group, Signal, constant, convolve, delta, dft,
                      expectation, idft, pointwise_mul)
 from .intertwine import (IntertwinerClassification, PhaseFunction,

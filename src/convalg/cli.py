@@ -147,8 +147,8 @@ def _emit(cfg: RunConfig, report: dict) -> None:
     if cfg.output:
         jsonio.dump(doc, cfg.output)
     else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        # serialized in full first, so a NaN leaves stdout empty
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

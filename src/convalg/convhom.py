@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AxiomViolation, NotRootOfUnity, RowNotHomomorphic
-from .groups import Group, snap_root, unit_roots
+from .groups import SNAP_FLOOR, Group, snap_root, unit_roots
 from .operators import DEFAULT_TOL, Operator, check_conv_homomorphism
 
 
@@ -31,11 +31,6 @@ class ConvClassification:
     support: tuple[int, ...]
     sigma: Mapping[int, int]
     residual: float
-
-    def sigma_at(self, eta: int) -> int:
-        if eta not in self.sigma:
-            raise KeyError(f"eta={eta} is outside the support; sigma is undefined there")
-        return self.sigma[eta]
 
 
 def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
@@ -61,9 +56,7 @@ def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
     support: list[int] = []
     sigma: dict[int, int] = {}
     residual = 0.0
-    # a basis-check pass at tol still leaves every recovered quantity up to
-    # ~2 tol off its snapped value, so all snap gates carry a 4 tol floor
-    snap_window = 4.0 * tol
+    snap_window = SNAP_FLOOR * tol
     for eta in range(n):
         row = table[eta]
         v0 = row[0]

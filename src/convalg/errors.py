@@ -37,6 +37,7 @@ class ClassificationError(ConvalgError):
     def __init__(self, message: str, **details: Any):
         super().__init__(message)
         self.details = details
+        self.__dict__.update(details)
 
 
 class AxiomViolation(ClassificationError):
@@ -44,7 +45,6 @@ class AxiomViolation(ClassificationError):
 
     def __init__(self, message: str, report: Any):
         super().__init__(message, report=report)
-        self.report = report
 
 
 # -- convolution-homomorphism classifier ------------------------------------
@@ -55,8 +55,6 @@ class RowNotHomomorphic(ClassificationError):
             message or f"row {eta}: value at the identity column is {value!r}, "
                        "which snaps to neither 0 nor 1",
             eta=eta, value=value)
-        self.eta = eta
-        self.value = value
 
 
 class NotRootOfUnity(ClassificationError):
@@ -65,9 +63,6 @@ class NotRootOfUnity(ClassificationError):
             f"row {eta}: generator value {z!r} is not an n-th root of unity "
             f"(deviation {deviation:.3e})",
             eta=eta, z=z, deviation=deviation)
-        self.eta = eta
-        self.z = z
-        self.deviation = deviation
 
 
 # -- exchange-map classifier -------------------------------------------------
@@ -77,15 +72,12 @@ class FixedPointViolation(ClassificationError):
         super().__init__(
             f"step 1: image of {which} is not fixed (residual {residual:.3e})",
             which=which, residual=residual)
-        self.which = which
-        self.residual = residual
 
 
 class DeltaImageNotDelta(ClassificationError):
     def __init__(self, j: int):
         super().__init__(
             f"step 2: image of the point mass at {j} is not a point mass", j=j)
-        self.j = j
 
 
 class DeltaImageInconsistent(ClassificationError):
@@ -96,9 +88,6 @@ class DeltaImageInconsistent(ClassificationError):
             f"step 2: point mass {j} maps to index {got}, "
             f"expected {expected} = j * sigma(1) mod n",
             j=j, got=got, expected=expected)
-        self.j = j
-        self.got = got
-        self.expected = expected
 
 
 class EtaNotCoprime(ClassificationError):
@@ -106,8 +95,6 @@ class EtaNotCoprime(ClassificationError):
         super().__init__(
             f"step 2: recovered index map slope {eta} shares a divisor with {n}",
             eta=eta, n=n)
-        self.eta = eta
-        self.n = n
 
 
 class BetaNotIdentityOrConjugation(ClassificationError):
@@ -116,8 +103,6 @@ class BetaNotIdentityOrConjugation(ClassificationError):
             f"step 3: scalar action maps {c!r} to {beta_c!r}, "
             "which is neither c nor conj(c)",
             c=c, beta_c=beta_c)
-        self.c = c
-        self.beta_c = beta_c
 
 
 class FinalSweepViolation(ClassificationError):
@@ -126,8 +111,6 @@ class FinalSweepViolation(ClassificationError):
             f"step 4: a random signal violates the recovered form "
             f"(residual {residual:.3e})",
             witness=witness, residual=residual)
-        self.witness = witness
-        self.residual = residual
 
 
 # -- translation/modulation intertwiner classifier ---------------------------
@@ -143,8 +126,6 @@ class EntryVanishes(ClassificationError):
             f"table entry at row {ell}, column {j} vanishes; the canonical "
             "form has constant nonzero modulus",
             j=j, ell=ell)
-        self.j = j
-        self.ell = ell
 
 
 class PhaseOffLattice(ClassificationError):
@@ -152,8 +133,6 @@ class PhaseOffLattice(ClassificationError):
         super().__init__(
             f"phase at index {j} is off the 2*pi/n lattice by {deviation:.3e} rad",
             j=j, deviation=deviation)
-        self.j = j
-        self.deviation = deviation
 
 
 class ReconstructionMismatch(ClassificationError):
@@ -161,7 +140,6 @@ class ReconstructionMismatch(ClassificationError):
         super().__init__(
             f"reconstructed table does not match the input (residual {residual:.3e})",
             residual=residual)
-        self.residual = residual
 
 
 # -- torus kernel classifier --------------------------------------------------
@@ -171,7 +149,6 @@ class NotUnimodular(ClassificationError):
         super().__init__(
             f"kernel sup-norm {max_abs!r} is not within tolerance of 1",
             max_abs=max_abs)
-        self.max_abs = max_abs
 
 
 class SnapFailure(ClassificationError):
@@ -180,9 +157,6 @@ class SnapFailure(ClassificationError):
             f"frequency estimate {estimate!r} is {deviation:.3e} away from the "
             f"nearest integer {nearest}",
             estimate=estimate, nearest=nearest, deviation=deviation)
-        self.estimate = estimate
-        self.nearest = nearest
-        self.deviation = deviation
 
 
 class CharacterEquationViolation(ClassificationError):
@@ -191,8 +165,6 @@ class CharacterEquationViolation(ClassificationError):
             f"kernel at frequency {xi} violates the character equation "
             f"(residual {report.max_residual:.3e})",
             xi=xi, report=report)
-        self.xi = xi
-        self.report = report
 
 
 # -- twisted convolution -------------------------------------------------------

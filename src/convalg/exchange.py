@@ -47,39 +47,10 @@ class ExchangeClassification:
     residual: float
 
 
-@dataclass(frozen=True)
-class BetaProbe:
-    """Sampled scalar action c -> beta(c) = E[T((c/n)*ones)]."""
-
-    samples: tuple[tuple[complex, complex], ...]
-
-    def multiplicativity_defect(self) -> float:
-        """max |beta(c1 c2) - beta(c1) beta(c2)| / (1 + |c1 c2|) over sampled pairs."""
-        table = dict(self.samples)
-        worst = 0.0
-        items = list(table.items())
-        for c1, b1 in items:
-            for c2, b2 in items:
-                prod = c1 * c2
-                if prod in table:
-                    worst = max(worst, abs(table[prod] - b1 * b2) / (1.0 + abs(prod)))
-        return worst
-
-
 def beta_of(T: Operator, c: complex) -> complex:
     """The scalar action beta(c) = E[T((c/n) * ones)]."""
     n = T.group.order
     return expectation(apply(T, constant(T.group, c / n)))
-
-
-def probe_beta(T: Operator, values=_BETA_BASE) -> BetaProbe:
-    """Probe beta on a base set, closed under pairwise products."""
-    cs = list(values)
-    for c1 in list(cs):
-        for c2 in list(cs):
-            if c1 * c2 not in cs:
-                cs.append(c1 * c2)
-    return BetaProbe(tuple((c, beta_of(T, c)) for c in cs))
 
 
 def construct_exchange(group: Group, eta: int, conjugate: bool = False) -> Operator:

@@ -28,6 +28,11 @@ from .errors import GroupMismatch
 
 Element = Union[int, Sequence[int]]
 
+# An axiom check passing at tol still leaves a recovered quantity up to
+# ~2 tol off its snapped value (Hyers-Ulam stability of the character
+# equation), so every classifier snap gate is at least SNAP_FLOOR * tol wide.
+SNAP_FLOOR = 4.0
+
 
 @dataclass(frozen=True)
 class Group:
@@ -171,10 +176,8 @@ def unit_roots(e, n: int) -> np.ndarray:
 def snap_root(z: complex, n: int, tol: float) -> tuple[Optional[int], float]:
     """Nearest m with z ~ e^{2i pi m / n}, and the angular deviation from it.
 
-    m is None when the deviation exceeds the window tol * max(n / pi, 4).
-    A check that passes at tol still leaves a recovered quantity up to
-    ~2 tol off its snapped value, hence the 4 tol floor.
+    m is None when the deviation exceeds the window tol * max(n / pi, SNAP_FLOOR).
     """
     m = round(cmath.phase(z) * n / (2.0 * np.pi)) % n
     dev = abs(cmath.phase(z * complex(unit_roots(-m, n))))
-    return (m if dev <= tol * max(n / np.pi, 4.0) else None), dev
+    return (m if dev <= tol * max(n / np.pi, SNAP_FLOOR) else None), dev

@@ -50,6 +50,19 @@ def _is_number(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _int_from_json(v: Any, path: str) -> int:
+    # JSON true, 2.7 and "5" are not integers, though int() takes them
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise SchemaError(f"expected an integer, got {type(v).__name__}", path)
+    return v
+
+
+def _ints_from_json(v: Any, path: str) -> list[int]:
+    if not isinstance(v, list):
+        raise SchemaError("expected a list of integers", path)
+    return [_int_from_json(x, f"{path}[{i}]") for i, x in enumerate(v)]
+
+
 def complex_from_json(v: Any, path: str) -> complex:
     if (not isinstance(v, (list, tuple)) or len(v) != 2
             or not all(_is_number(x) for x in v)):
@@ -79,7 +92,7 @@ def signal_to_json(a: Signal) -> dict:
 
 def signal_from_json(obj: Any, path: str = "$") -> Signal:
     _require_fields(obj, {"group", "values"}, path)
-    group = Group(tuple(int(n) for n in obj["group"]))
+    group = Group(_ints_from_json(obj["group"], f"{path}.group"))
     values = values_from_json(obj["values"], f"{path}.values")
     if values.shape != (group.order,):
         raise SchemaError(
@@ -98,7 +111,7 @@ def operator_to_json(T: Operator) -> dict:
 def operator_from_json(obj: Any, path: str = "$") -> Operator:
     _require_fields(obj, {"schema", "group", "columns"}, path)
     _check_schema(obj, path)
-    group = Group(tuple(int(n) for n in obj["group"]))
+    group = Group(_ints_from_json(obj["group"], f"{path}.group"))
     n = group.order
     cols = obj["columns"]
     if not isinstance(cols, list) or len(cols) != n:
@@ -183,8 +196,8 @@ def kernel_family_to_json(fam: KernelFamily) -> dict:
 def kernel_family_from_json(obj: Any, path: str = "$") -> KernelFamily:
     _require_fields(obj, {"schema", "M", "N", "kernels"}, path)
     _check_schema(obj, path)
-    grid = TorusGrid(int(obj["M"]))
-    N = int(obj["N"])
+    grid = TorusGrid(_int_from_json(obj["M"], f"{path}.M"))
+    N = _int_from_json(obj["N"], f"{path}.N")
     rows = np.zeros((2 * N + 1, grid.M), dtype=np.complex128)
     seen = set()
     if not isinstance(obj["kernels"], list) or len(obj["kernels"]) != 2 * N + 1:
@@ -193,7 +206,7 @@ def kernel_family_from_json(obj: Any, path: str = "$") -> KernelFamily:
         p = f"{path}.kernels[{i}]"
         if not isinstance(entry, list) or len(entry) != 2:
             raise SchemaError("kernel entries are [xi, values] pairs", p)
-        xi = int(entry[0])
+        xi = _int_from_json(entry[0], f"{p}[0]")
         if not -N <= xi <= N or xi in seen:
             raise SchemaError(f"frequency {xi} out of window or repeated", p)
         seen.add(xi)
@@ -213,7 +226,9 @@ def phase_space_to_json(f: PhaseSpaceFunction) -> dict:
 def phase_space_from_json(obj: Any, path: str = "$") -> PhaseSpaceFunction:
     _require_fields(obj, {"schema", "L", "S", "values"}, path)
     _check_schema(obj, path)
-    grid = PlaneGrid(float(obj["L"]), int(obj["S"]))
+    if not _is_number(obj["L"]):
+        raise SchemaError("expected a number", f"{path}.L")
+    grid = PlaneGrid(float(obj["L"]), _int_from_json(obj["S"], f"{path}.S"))
     rows = obj["values"]
     if not isinstance(rows, list) or len(rows) != grid.side:
         raise SchemaError(f"expected {grid.side} rows", f"{path}.values")
@@ -250,18 +265,20 @@ def construct_params_from_json(obj: Any, path: str = "$") -> dict:
         _require_fields(obj, {"schema", "n", "support", "sigma"}, path)
         _check_schema(obj, path)
         sigma = {}
+        if not isinstance(obj["sigma"], list):
+            raise SchemaError("sigma is a list of [eta, sigma(eta)] pairs", f"{path}.sigma")
         for i, entry in enumerate(obj["sigma"]):
+            p = f"{path}.sigma[{i}]"
             if not isinstance(entry, list) or len(entry) != 2:
-                raise SchemaError("sigma entries are [eta, sigma(eta)] pairs",
-                                  f"{path}.sigma[{i}]")
-            sigma[int(entry[0])] = int(entry[1])
-        return {"kind": "conv", "n": int(obj["n"]),
-                "support": [int(e) for e in obj["support"]], "sigma": sigma}
+                raise SchemaError("sigma entries are [eta, sigma(eta)] pairs", p)
+            sigma[_int_from_json(entry[0], f"{p}[0]")] = _int_from_json(entry[1], f"{p}[1]")
+        return {"kind": "conv", "n": _int_from_json(obj["n"], f"{path}.n"),
+                "support": _ints_from_json(obj["support"], f"{path}.support"),
+                "sigma": sigma}
     _require_fields(obj, {"schema", "n", "k0", "m0", "m1", "c"}, path)
     _check_schema(obj, path)
-    return {"kind": "intertwiner", "n": int(obj["n"]),
-            "k0": int(obj["k0"]), "m0": int(obj["m0"]), "m1": int(obj["m1"]),
-            "c": complex_from_json(obj["c"], f"{path}.c")}
+    ints = {k: _int_from_json(obj[k], f"{path}.{k}") for k in ("n", "k0", "m0", "m1")}
+    return {"kind": "intertwiner", **ints, "c": complex_from_json(obj["c"], f"{path}.c")}
 
 
 def dump(obj: dict, path: str) -> None:

@@ -172,12 +172,6 @@ def compose_kernels(K1: OperatorKernel, K2: OperatorKernel) -> OperatorKernel:
     return OperatorKernel(grid, grid.step * (K1.values @ K2.values))
 
 
-def apply_kernel(K: OperatorKernel, phi: np.ndarray) -> np.ndarray:
-    """The operator with kernel K: phi -> h sum_y K(., y) phi(y)."""
-    phi = np.asarray(phi, dtype=np.complex128)
-    return K.grid.step * (K.values @ phi)
-
-
 @dataclass(frozen=True)
 class RhoHomReport:
     """Measured distance between rho(f # g) and rho(f) rho(g)."""

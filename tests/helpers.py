@@ -46,3 +46,21 @@ def disc_signal(group: Group, rng: np.random.Generator) -> Signal:
     r = np.sqrt(rng.uniform(0, 1, group.order))
     th = rng.uniform(0, 2 * np.pi, group.order)
     return Signal(group, r * np.exp(1j * th))
+
+
+def naive_character_residuals(rows: np.ndarray, group: Group) -> np.ndarray:
+    """(k, l) -> max_r |h_r(k+l) - h_r(k) h_r(l)| / (1 + max sup of both sides).
+
+    Builds the whole (rows, n, n) arrays of both sides, the sum k + l taken
+    element by element per cyclic factor.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    n = group.order
+    lhs = np.zeros((rows.shape[0], n, n), dtype=complex)
+    for k in range(n):
+        for l in range(n):
+            s = tuple(a + b for a, b in zip(group.element(k), group.element(l)))
+            lhs[:, k, l] = rows[:, group.index(s)]
+    rhs = rows[:, :, None] * rows[:, None, :]
+    scale = 1.0 + np.maximum(np.abs(lhs).max(axis=0), np.abs(rhs).max(axis=0))
+    return np.abs(lhs - rhs).max(axis=0) / scale

@@ -213,6 +213,23 @@ class TestErrorHandling:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["check-axioms", "classify-conv"])
+    @pytest.mark.parametrize("doc", ["group-1", "identity_n4.json"])
+    def test_overflowing_entry(self, tmp_path, capsys, command, doc):
+        # 1e300 is finite, but its products overflow to a NaN residual,
+        # which no report may carry
+        if doc == "group-1":
+            op = {"schema": 1, "group": [1], "columns": [[[1e300, 0.0]]]}
+        else:
+            op = read(FIXTURES / doc)
+            op["columns"][0][1] = [1e300, 0.0]
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(op))
+        assert run([command, "--input", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
     def test_unwritable_output(self, tmp_path, capsys):
         out = tmp_path / "missing" / "rep.json"
         assert run(["classify-conv", "--input", str(FIXTURES / "dft_n8.json"),

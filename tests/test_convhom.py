@@ -37,11 +37,6 @@ class TestClassify:
         assert c.support == (0, 1, 2, 3, 4)
         assert c.sigma == {e: (2 * e) % n for e in range(n)}
 
-    def test_sigma_undefined_off_support(self):
-        c = classify(Operator.zero(Group(4)))
-        with pytest.raises(KeyError):
-            c.sigma_at(2)
-
     def test_product_groups_rejected(self):
         with pytest.raises(ValueError):
             classify(Operator.identity(Group((2, 2))))

@@ -5,12 +5,12 @@ import pytest
 
 from convalg import (Group, Operator, Signal, apply, check_exchange_axioms,
                      check_involution_symmetry, classify_exchange,
-                     classify_fourier_exchange, construct_exchange, dft, idft,
-                     probe_beta)
+                     classify_fourier_exchange, construct_exchange, dft, idft)
 from convalg.errors import (BetaNotIdentityOrConjugation,
                             DeltaImageInconsistent, DeltaImageNotDelta,
                             EtaNotCoprime, FinalSweepViolation,
                             FixedPointViolation)
+from convalg.exchange import beta_of
 
 from helpers import disc_signal
 
@@ -155,22 +155,21 @@ class TestRejections:
         assert exc.value.witness is not None
 
 
-class TestBetaProbe:
-    def test_beta_multiplicative_for_canonical_maps(self):
-        g = Group(8)
-        for flag in (False, True):
-            probe = probe_beta(construct_exchange(g, 3, flag))
-            assert probe.multiplicativity_defect() <= 1e-9
+# the classifier's probe values and their pairwise products
+BETA_BASE = (2.0, 3.0, 1.5, 1j)
+BETA_SCALARS = BETA_BASE + tuple(c1 * c2 for c1 in BETA_BASE for c2 in BETA_BASE)
 
+
+class TestBetaProbe:
     def test_beta_values_identity_branch(self):
-        probe = probe_beta(construct_exchange(Group(5), 2, False))
-        for c, b in probe.samples:
-            assert abs(b - c) <= 1e-9 * (1 + abs(c))
+        T = construct_exchange(Group(5), 2, False)
+        for c in BETA_SCALARS:
+            assert abs(beta_of(T, c) - c) <= 1e-9 * (1 + abs(c))
 
     def test_beta_values_conjugation_branch(self):
-        probe = probe_beta(construct_exchange(Group(5), 2, True))
-        for c, b in probe.samples:
-            assert abs(b - np.conj(c)) <= 1e-9 * (1 + abs(c))
+        T = construct_exchange(Group(5), 2, True)
+        for c in BETA_SCALARS:
+            assert abs(beta_of(T, c) - np.conj(c)) <= 1e-9 * (1 + abs(c))
 
 
 class TestFourierVariant:

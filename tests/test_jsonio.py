@@ -11,6 +11,7 @@ from convalg import (Group, Operator, Signal, TorusGrid, check_conv_homomorphism
 from convalg.errors import SchemaError
 from convalg.intertwine import PhaseFunction
 from convalg.jsonio import (axiom_report_to_json, complex_from_json,
+                            construct_params_from_json,
                             conv_classification_to_json, dump,
                             exchange_classification_to_json,
                             intertwiner_classification_to_json,
@@ -182,6 +183,61 @@ class TestPhaseSpace:
         pf, pg = pair_from_json(pair_to_json(f, f))
         assert np.allclose(pf.values, f.values)
         assert np.allclose(pg.values, f.values)
+
+
+def _set(doc, keys, value):
+    for k in keys[:-1]:
+        doc = doc[k]
+    doc[keys[-1]] = value
+
+
+INTEGER_FIELDS = [
+    (signal_from_json, {"group": [2], "values": [[1, 0], [0, 0]]}, ("group", 0)),
+    (operator_from_json, {"schema": 1, "group": [1], "columns": [[[1, 0]]]},
+     ("group", 0)),
+    (kernel_family_from_json, {"schema": 1, "M": 2, "N": 0,
+                               "kernels": [[0, [[1, 0], [1, 0]]]]}, ("M",)),
+    (kernel_family_from_json, {"schema": 1, "M": 2, "N": 0,
+                               "kernels": [[0, [[1, 0], [1, 0]]]]}, ("N",)),
+    (kernel_family_from_json, {"schema": 1, "M": 2, "N": 0,
+                               "kernels": [[0, [[1, 0], [1, 0]]]]}, ("kernels", 0, 0)),
+    (phase_space_from_json, {"schema": 1, "L": 1.0, "S": 2,
+                             "values": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, ("S",)),
+    *[(construct_params_from_json,
+       {"schema": 1, "n": 4, "support": [1], "sigma": [[1, 2]]}, keys)
+      for keys in [("n",), ("support", 0), ("sigma", 0, 0), ("sigma", 0, 1)]],
+    *[(construct_params_from_json,
+       {"schema": 1, "n": 8, "k0": 3, "m0": 2, "m1": 5, "c": [1, 0]}, (key,))
+      for key in ("n", "k0", "m0", "m1")],
+]
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("value", [True, 2.7, "5"])
+    @pytest.mark.parametrize("load, doc, keys", INTEGER_FIELDS, ids=[
+        f"{load.__name__}-{'.'.join(map(str, keys))}" for load, _, keys in INTEGER_FIELDS])
+    def test_rejects_bool_float_and_string(self, load, doc, keys, value):
+        doc = json.loads(json.dumps(doc))
+        load(doc)                       # the document is valid as written
+        _set(doc, keys, value)
+        with pytest.raises(SchemaError):
+            load(doc)
+
+    @pytest.mark.parametrize("load, doc", [
+        (signal_from_json, {"group": 2, "values": [[1, 0], [0, 0]]}),
+        (operator_from_json, {"schema": 1, "group": 1, "columns": [[[1, 0]]]}),
+        (construct_params_from_json, {"schema": 1, "n": 4, "support": 1, "sigma": []}),
+        (construct_params_from_json, {"schema": 1, "n": 4, "support": [1], "sigma": 5}),
+    ])
+    def test_rejects_a_number_for_a_list(self, load, doc):
+        with pytest.raises(SchemaError):
+            load(doc)
+
+    def test_rejects_boolean_half_width(self):
+        doc = phase_space_to_json(gaussian_pair(PlaneGrid(4.0, 16)))
+        doc["L"] = True
+        with pytest.raises(SchemaError):
+            phase_space_from_json(doc)
 
 
 class TestDump:

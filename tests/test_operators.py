@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from convalg import (Group, Operator, Signal, apply, check_conv_homomorphism,
-                     check_exchange_axioms, compose, constant, delta,
-                     pointwise_mul, rel_residual)
+from convalg import (Group, Operator, Signal, apply, check_character_equation,
+                     check_conv_homomorphism, check_exchange_axioms, compose,
+                     constant, delta, pointwise_mul, rel_residual)
 from convalg.errors import GroupMismatch
+from convalg.operators import character_residuals
 
-from helpers import direct_dft, disc_signal
+from helpers import direct_dft, disc_signal, naive_character_residuals
 
 
 class TestApply:
@@ -107,6 +110,54 @@ class TestConvHomomorphismCheck:
         with pytest.raises(ValueError):
             check_conv_homomorphism(box, "basis")
         assert check_conv_homomorphism(box, "sampled", count=4).passed is False
+
+
+class TestCharacterResiduals:
+    GROUPS = [(1,), (2,), (8,), (64,), (2, 3), (3, 2, 2), (4, 6), (5, 1, 3)]
+
+    @pytest.mark.parametrize("factors", GROUPS)
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_matches_naive_oracle_and_witness(self, factors, planted):
+        g = Group(factors)
+        table = np.array(Operator.dft(g).table)
+        if planted:
+            rng = np.random.default_rng(sum(factors))
+            table[tuple(rng.integers(g.order, size=2))] += 1e-3
+        naive = naive_character_residuals(table, g)
+        res = character_residuals(table, g)
+        assert np.max(np.abs(res - naive)) <= 1e-15
+        rep = check_conv_homomorphism(Operator.from_table(g, table))
+        bad = np.argwhere(naive > rep.tol)
+        assert rep.passed is (bad.size == 0)
+        if bad.size:
+            k0, l0 = bad[0]
+            f, h = rep.witness.inputs
+            assert np.array_equal(f.values, delta(g, g.element(k0)).values)
+            assert np.array_equal(h.values, delta(g, g.element(l0)).values)
+
+    @pytest.mark.parametrize("M", [2, 8, 64])
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_single_row_matches_oracle_and_worst_pair(self, M, planted):
+        rng = np.random.default_rng(M)
+        h = np.exp(2j * np.pi * 3 * np.arange(M) / M)
+        if planted:
+            h[rng.integers(M)] *= 1.01
+        naive = naive_character_residuals(h[None], Group(M))
+        assert np.max(np.abs(character_residuals(h[None], Group(M)) - naive)) <= 1e-15
+        rep = check_character_equation(h)
+        assert rep.max_residual == pytest.approx(naive.max(), abs=1e-15)
+        if planted:
+            assert rep.witness.inputs == np.unravel_index(np.argmax(naive), naive.shape)
+
+    def test_basis_check_memory_is_quadratic(self):
+        T = Operator.dft(Group(128))
+        tracemalloc.start()
+        try:
+            assert check_conv_homomorphism(T).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestExchangeAxiomsCheck:

@@ -167,6 +167,32 @@ class TestClassify:
             assert sup <= 1e-9 or abs(sup - 1) <= 1e-9
 
 
+class TestPassImpliesClassifies:
+    @pytest.mark.parametrize("M", [16, 32, 64, 128])
+    def test_near_characters_passing_the_check_classify(self, M):
+        # chi (1 + e), (1 + eps) chi and chi e^{i theta} at amplitudes around
+        # tol: whichever passes the character check must classify to its
+        # planted frequency
+        grid = TorusGrid(M)
+        rng = np.random.default_rng(M)
+        passed = 0
+        for amplitude in np.logspace(-11, -8, 10):
+            for _ in range(12):
+                a = int(rng.integers(-(M // 2) + 1, M // 2))
+                chi = character(grid, a)
+                noise = rng.normal(size=M) + 1j * rng.normal(size=M)
+                for h in (chi * (1 + amplitude * noise),
+                          (1 + amplitude * noise[0]) * chi,
+                          chi * np.exp(1j * amplitude * noise.real)):
+                    if not check_character_equation(h, 1e-9).passed:
+                        continue
+                    passed += 1
+                    table = build_operator(KernelFamily(grid, 0, h[None]))
+                    cls = classify_torus_operator(table, grid, 1e-9)
+                    assert cls.freq_map == {0: -a}
+        assert passed >= 200
+
+
 class TestQuadrature:
     def test_convolution_to_product_at_desk_scale(self):
         # operators built from character kernels send circular convolution
