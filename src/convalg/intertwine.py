@@ -48,14 +48,6 @@ class PhaseFunction:
         return len(self.values)
 
     @classmethod
-    def from_turns(cls, turns) -> "PhaseFunction":
-        """Angles given in turns (1 turn = 2 pi)."""
-        return cls([2j * np.pi * float(t) for t in turns])
-
-    def to_turns(self) -> list[float]:
-        return [v.imag / (2.0 * np.pi) for v in self.values]
-
-    @classmethod
     def affine(cls, group: Group, slope: int, offset: int) -> "PhaseFunction":
         """phi(j) = (2i pi / n) (slope * j + offset)."""
         n = group.n

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from typing import Any, Mapping
 
 import numpy as np
@@ -17,7 +18,7 @@ from .convhom import ConvClassification
 from .errors import SchemaError
 from .exchange import ExchangeClassification
 from .groups import Group, Signal
-from .intertwine import IntertwinerClassification, PhaseFunction
+from .intertwine import IntertwinerClassification
 from .operators import AxiomReport, Operator, Witness
 from .torus import KernelFamily, TorusClassification, TorusGrid
 from .twisted import PhaseSpaceFunction, PlaneGrid
@@ -67,7 +68,12 @@ def complex_from_json(v: Any, path: str) -> complex:
     if (not isinstance(v, (list, tuple)) or len(v) != 2
             or not all(_is_number(x) for x in v)):
         raise SchemaError("complex values are [re, im] pairs", path)
-    return complex(v[0], v[1])
+    try:
+        if np.isfinite(z := complex(v[0], v[1])):
+            return z
+    except OverflowError:                   # an integer literal beyond float range
+        pass
+    raise SchemaError("values must be finite (a literal overflowed)", path)
 
 
 def values_to_json(values: np.ndarray) -> list[list[float]]:
@@ -77,11 +83,17 @@ def values_to_json(values: np.ndarray) -> list[list[float]]:
 def values_from_json(v: Any, path: str) -> np.ndarray:
     if not isinstance(v, list):
         raise SchemaError("expected a list of [re, im] pairs", path)
-    values = np.array([complex_from_json(x, f"{path}[{i}]") for i, x in enumerate(v)],
-                      dtype=np.complex128)
-    if not np.all(np.isfinite(values)):
-        raise SchemaError("values must be finite (a literal overflowed)", path)
-    return values
+    # one numpy call; a list that fails a check is walked to name the bad entry
+    try:
+        if set(map(type, v)) <= {list} and set(map(len, v)) <= {2}:
+            flat = list(chain.from_iterable(v))
+            if set(map(type, flat)) <= {int, float}:    # no bool, as in _is_number
+                values = np.array(flat, np.float64).view(np.complex128)
+                if np.isfinite(values).all():
+                    return values
+    except OverflowError:                   # an integer literal beyond float range
+        pass
+    return np.array([complex_from_json(x, f"{path}[{i}]") for i, x in enumerate(v)])
 
 
 # -- signals and operators ----------------------------------------------------
@@ -175,16 +187,6 @@ def torus_classification_to_json(c: TorusClassification) -> dict:
             "residual": c.residual}
 
 
-def phase_function_to_json(phi: PhaseFunction) -> list[float]:
-    return phi.to_turns()
-
-
-def phase_function_from_json(obj: Any, path: str = "$") -> PhaseFunction:
-    if not isinstance(obj, list) or not all(_is_number(x) for x in obj):
-        raise SchemaError("a phase function is a list of angles in turns", path)
-    return PhaseFunction.from_turns(obj)
-
-
 # -- torus and plane-grid payloads ----------------------------------------------
 
 def kernel_family_to_json(fam: KernelFamily) -> dict:
@@ -210,7 +212,7 @@ def kernel_family_from_json(obj: Any, path: str = "$") -> KernelFamily:
         if not -N <= xi <= N or xi in seen:
             raise SchemaError(f"frequency {xi} out of window or repeated", p)
         seen.add(xi)
-        v = values_from_json(entry[1], p)
+        v = values_from_json(entry[1], f"{p}[1]")
         if v.shape != (grid.M,):
             raise SchemaError(f"kernel length {v.shape[0]} != M = {grid.M}", p)
         rows[xi + N] = v
@@ -228,7 +230,11 @@ def phase_space_from_json(obj: Any, path: str = "$") -> PhaseSpaceFunction:
     _check_schema(obj, path)
     if not _is_number(obj["L"]):
         raise SchemaError("expected a number", f"{path}.L")
-    grid = PlaneGrid(float(obj["L"]), _int_from_json(obj["S"], f"{path}.S"))
+    try:
+        L = float(obj["L"])
+    except OverflowError:
+        raise SchemaError("must be finite (a literal overflowed)", f"{path}.L") from None
+    grid = PlaneGrid(L, _int_from_json(obj["S"], f"{path}.S"))
     rows = obj["values"]
     if not isinstance(rows, list) or len(rows) != grid.side:
         raise SchemaError(f"expected {grid.side} rows", f"{path}.values")

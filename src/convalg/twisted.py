@@ -35,8 +35,8 @@ class PlaneGrid:
     def __post_init__(self):
         if self.side < 2 or self.side % 2:
             raise ValueError(f"side count must be even and >= 2, got {self.side}")
-        if not self.half_width > 0:
-            raise ValueError(f"half width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < np.inf:
+            raise ValueError(f"half width must be finite and positive, got {self.half_width}")
 
     @property
     def step(self) -> float:
@@ -111,29 +111,32 @@ def gaussian_pair(grid: PlaneGrid) -> PhaseSpaceFunction:
     return PhaseSpaceFunction(grid, np.outer(g, g))
 
 
+def _phase_table(grid: PlaneGrid) -> np.ndarray:
+    """P[i, b] = e^{i pi x_i x_b}, the one phase table: x, y, s, t, q share an axis."""
+    return np.exp(1j * np.pi * np.outer(grid.axis, grid.axis))
+
+
 def twisted_convolve(f: PhaseSpaceFunction, g: PhaseSpaceFunction) -> PhaseSpaceFunction:
     """Left-point Riemann sum of the twisted product, zero off-window.
 
     Evaluated exactly (to roundoff) by factoring the phase e^{i pi (x t - y s)}
-    and running one linear convolution along t per s-sample.
+    as P[i, b] conj(P[j, a]) with the one _phase_table P, and running one
+    linear convolution along t per s-sample, at circular length 3S/2.
     """
     grid = _same_grid(f, g)
     S, h, c = grid.side, grid.step, grid.side // 2
-    X = grid.axis
-    F, G = f.values, g.values
-    P1 = np.exp(1j * np.pi * np.outer(X, X))     # P1[i, b] = e^{i pi x_i t_b}
-    P2 = P1.conj()                               # P2[j, a] = e^{-i pi y_j s_a}
-    full = np.zeros((2 * S, S), dtype=np.complex128)
-    q0 = S // 2
-    full[q0:q0 + S] = F
+    P = _phase_table(grid)
+    # The rows of F are transformed once.  A linear convolution of two length-S
+    # rows has indices 0..2S-2, of which c..c+S-1 are kept; at length 3S/2 a
+    # kept index m wraps only onto m + 3S/2 >= 2S > 2S-2, where it is zero.
+    n_fft = 3 * S // 2
+    full = np.pad(np.fft.fft(f.values, n=n_fft, axis=1), ((c, c), (0, 0)))
     out = np.zeros((S, S), dtype=np.complex128)
-    n_fft = 2 * S
     for a in range(S):
-        shifted = full[c + q0 - a: c + q0 - a + S]        # row i = F[i - a + c]
-        qrow = G[a][None, :] * P1                         # (i, b)
-        conv = np.fft.ifft(np.fft.fft(shifted, n=n_fft, axis=1) *
-                           np.fft.fft(qrow, n=n_fft, axis=1), axis=1)
-        out += conv[:, c:c + S] * P2[:, a][None, :]
+        shifted = full[S - a:2 * S - a]                   # row i = F[i - a + c]
+        qrow = g.values[a][None, :] * P                   # (i, b)
+        conv = np.fft.ifft(shifted * np.fft.fft(qrow, n=n_fft, axis=1), axis=1)
+        out += conv[:, c:c + S] * P[:, a].conj()
     return PhaseSpaceFunction(grid, h * h * out)
 
 
@@ -151,18 +154,18 @@ def rho_point(p: float, q: float, phi: np.ndarray, grid: PlaneGrid) -> np.ndarra
 
 
 def rho_kernel(f: PhaseSpaceFunction) -> OperatorKernel:
-    """K_f(x, y) = h sum_q f(y - x, q) e^{i pi q (x + y)}, zero off-window."""
+    """K_f(x, y) = h sum_q f(y - x, q) e^{i pi q (x + y)}, zero off-window.
+
+    The phase is P[i, b] P[j, b] with the one _phase_table P: S^2 exponentials.
+    """
     grid = f.grid
     S, h, c = grid.side, grid.step, grid.side // 2
-    X = grid.axis
-    full = np.zeros((2 * S, S), dtype=np.complex128)
-    q0 = S // 2
-    full[q0:q0 + S] = f.values
+    P = _phase_table(grid)
+    full = np.pad(f.values, ((c, c), (0, 0)))
     K = np.empty((S, S), dtype=np.complex128)
     for i in range(S):
-        rows = full[c + q0 - i: c + q0 - i + S]              # row j = f[j - i + c]
-        phases = np.exp(1j * np.pi * np.outer(X[i] + X, X))  # (j, b)
-        K[i] = h * np.einsum("jb,jb->j", rows, phases)
+        rows = full[S - i:2 * S - i]                         # row j = f[j - i + c]
+        K[i] = h * ((rows * P) @ P[i])
     return OperatorKernel(grid, K)
 
 
@@ -192,7 +195,6 @@ def relative_l2(A: np.ndarray, B: np.ndarray) -> float:
 def verify_rho_homomorphism(f: PhaseSpaceFunction,
                             g: PhaseSpaceFunction) -> RhoHomReport:
     """Relative L2 distance between the kernels of rho(f # g) and rho(f) rho(g)."""
-    _same_grid(f, g)
     lhs = rho_kernel(twisted_convolve(f, g))
     rhs = compose_kernels(rho_kernel(f), rho_kernel(g))
     return RhoHomReport(relative_l2(lhs.values, rhs.values),

@@ -201,6 +201,8 @@ class TestErrorHandling:
         ("check-axioms", "identity_n4.json", "NaN"),
         ("classify-torus", "fourier_torus_m64_n8.json", "Infinity"),
         ("classify-torus", "fourier_torus_m64_n8.json", "1e999"),
+        pytest.param("check-axioms", "identity_n4.json", "1" + "0" * 400,
+                     id="check-axioms-identity_n4.json-401-digit-int"),
     ])
     def test_nonfinite_entry(self, tmp_path, capsys, command, fixture, literal):
         doc = read(FIXTURES / fixture)
@@ -212,6 +214,27 @@ class TestErrorHandling:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("literal", ["1e999", "1" + "0" * 400],
+                             ids=["1e999", "401-digit-int"])
+    def test_out_of_range_half_width(self, tmp_path, capsys, literal):
+        doc = read(FIXTURES / "gaussian_pair_s64.json")
+        doc["f"]["L"] = "half-width"
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc).replace('"half-width"', literal))
+        assert run(["verify-twisted", "--input", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "different grids" not in err
+
+    @pytest.mark.filterwarnings("error")    # rejected before any arithmetic
+    def test_infinite_grid_half_width(self, capsys):
+        assert run(["verify-twisted", "--grid-S", "16", "--grid-L", "1e999"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "half width" in err
 
     @pytest.mark.parametrize("command", ["check-axioms", "classify-conv"])
     @pytest.mark.parametrize("doc", ["group-1", "identity_n4.json"])

@@ -73,10 +73,6 @@ class TestModulate:
         with pytest.raises(ValueError):
             modulate(delta(g, 0), 1, PhaseFunction([0] * 5))
 
-    def test_turns_roundtrip(self):
-        phi = PhaseFunction.from_turns([0.25, 0.5, 0.75])
-        assert phi.to_turns() == pytest.approx([0.25, 0.5, 0.75])
-
 
 class TestConstruct:
     def test_unit_parameters_give_transform_table(self):

@@ -9,7 +9,6 @@ from convalg import (Group, Operator, Signal, TorusGrid, check_conv_homomorphism
                      classify, construct_intertwiner, delta,
                      fourier_coefficient_operator)
 from convalg.errors import SchemaError
-from convalg.intertwine import PhaseFunction
 from convalg.jsonio import (axiom_report_to_json, complex_from_json,
                             construct_params_from_json,
                             conv_classification_to_json, dump,
@@ -18,10 +17,9 @@ from convalg.jsonio import (axiom_report_to_json, complex_from_json,
                             kernel_family_from_json, kernel_family_to_json,
                             operator_from_json, operator_to_json,
                             pair_from_json, pair_to_json,
-                            phase_function_from_json, phase_function_to_json,
                             phase_space_from_json, phase_space_to_json,
                             signal_from_json, signal_to_json,
-                            torus_classification_to_json)
+                            torus_classification_to_json, values_from_json)
 from convalg.torus import classify_torus_operator, extract_kernels
 from convalg.twisted import PlaneGrid, gaussian_pair
 
@@ -56,6 +54,34 @@ class TestSignal:
             complex_from_json("1+2j", "$")
         with pytest.raises(SchemaError):
             complex_from_json([True, False], "$")
+
+
+class TestValues:
+    def test_bulk_decode_matches_per_entry_decode(self):
+        rng = np.random.default_rng(8)
+        parts = [0, -0.0, 0.0, 2 ** 53 + 1, -(3 ** 90), 7,
+                 *rng.integers(-2 ** 62, 2 ** 62, size=40).tolist(),
+                 *(rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, size=40)).tolist()]
+        v = json.loads(json.dumps(
+            [[parts[i] for i in rng.integers(len(parts), size=2)] for _ in range(500)]))
+        got = values_from_json(v, "$")
+        want = np.array([complex_from_json(x, "$") for x in v])
+        assert got.dtype == np.complex128 and got.shape == (500,)
+        assert got.tobytes() == want.tobytes()      # bit-identical, -0.0 included
+
+    @pytest.mark.parametrize("i", [0, 3, 7])
+    @pytest.mark.parametrize("bad", [
+        True, "1", [1.0], [1, 2, 3], [True, 0.0], ["1", 0.0],
+        [json.loads("1e999"), 0.0], [0.0, json.loads("-1e999")],
+        [10 ** 400, 0.0], [0.0, -10 ** 400]],
+        ids=["true", "str", "short", "long", "true-re", "str-re", "1e999-re",
+             "-1e999-im", "401-digit-re", "401-digit-im"])
+    def test_bad_entry_named(self, bad, i):
+        v = [[1, 0.5]] * 8
+        v[i] = bad
+        with pytest.raises(SchemaError) as exc:
+            values_from_json(v, "$.values")
+        assert exc.value.path == f"$.values[{i}]"
 
 
 class TestOperator:
@@ -124,19 +150,6 @@ class TestClassifications:
         assert len(doc["witness"]["inputs"]) == 2
 
 
-class TestPhaseFunction:
-    def test_turns_roundtrip(self):
-        phi = PhaseFunction.affine(Group(8), 3, 1)
-        back = phase_function_from_json(phase_function_to_json(phi))
-        assert np.allclose(back.to_turns(), phi.to_turns())
-
-    def test_rejects_non_numeric(self):
-        with pytest.raises(SchemaError):
-            phase_function_from_json(["x"])
-        with pytest.raises(SchemaError):
-            phase_function_from_json([True, False])
-
-
 class TestKernelFamily:
     def test_roundtrip(self):
         grid = TorusGrid(16)
@@ -144,6 +157,14 @@ class TestKernelFamily:
         back = kernel_family_from_json(kernel_family_to_json(fam))
         assert back.N == 2 and back.grid.M == 16
         assert np.allclose(back.kernels, fam.kernels)
+
+    def test_bad_value_names_its_entry(self):
+        grid = TorusGrid(16)
+        doc = kernel_family_to_json(extract_kernels(fourier_coefficient_operator(grid, 2), grid))
+        doc["kernels"][3][1][5] = [True, 0.0]
+        with pytest.raises(SchemaError) as exc:
+            kernel_family_from_json(doc)
+        assert exc.value.path == "$.kernels[3][1][5]"
 
     def test_frequency_window_checked(self):
         grid = TorusGrid(16)

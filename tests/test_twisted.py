@@ -46,6 +46,11 @@ def direct_rho_kernel(f):
     return K
 
 
+# S = 2 is the smallest circular length 3S/2 = 3; L = 7.5 puts phase arguments
+# in the hundreds of radians
+ORACLE_GRIDS = [(0.5, 2), (1.5, 6), (4.0, 16), (7.5, 12)]
+
+
 def displaced_gaussian(grid, dx, dy):
     gx = np.exp(-np.pi * (grid.axis - dx) ** 2)
     gy = np.exp(-np.pi * (grid.axis - dy) ** 2)
@@ -89,11 +94,12 @@ class TestTwistedConvolve:
         f = gaussian_pair(grid)
         assert np.max(np.abs(twisted_convolve(f, dm).values - f.values)) <= 1e-12
 
-    def test_matches_direct_quadruple_sum(self):
-        grid = PlaneGrid(4.0, 16)
+    @pytest.mark.parametrize("L, S", ORACLE_GRIDS)
+    def test_matches_direct_quadruple_sum(self, L, S):
+        grid = PlaneGrid(L, S)
         rng = np.random.default_rng(0)
-        f = PhaseSpaceFunction(grid, (rng.normal(size=(16, 16))
-                                      + 1j * rng.normal(size=(16, 16)))
+        f = PhaseSpaceFunction(grid, (rng.normal(size=(S, S))
+                                      + 1j * rng.normal(size=(S, S)))
                                * np.outer(np.exp(-grid.axis ** 2),
                                           np.exp(-grid.axis ** 2)))
         g = displaced_gaussian(grid, 0.5, -0.5)
@@ -188,11 +194,12 @@ class TestRhoKernel:
         assert np.allclose(np.diag(K), np.full(S, 1.0 / h))
         assert np.max(np.abs(K - np.diag(np.diag(K)))) == 0.0
 
-    def test_matches_direct_sum(self):
-        grid = PlaneGrid(4.0, 16)
+    @pytest.mark.parametrize("L, S", ORACLE_GRIDS)
+    def test_matches_direct_sum(self, L, S):
+        grid = PlaneGrid(L, S)
         rng = np.random.default_rng(1)
-        f = PhaseSpaceFunction(grid, rng.normal(size=(16, 16))
-                               + 1j * rng.normal(size=(16, 16)))
+        f = PhaseSpaceFunction(grid, rng.normal(size=(S, S))
+                               + 1j * rng.normal(size=(S, S)))
         assert np.max(np.abs(rho_kernel(f).values - direct_rho_kernel(f))) <= 1e-12
 
     def test_gaussian_matches_analytic_kernel(self):
