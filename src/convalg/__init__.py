@@ -3,7 +3,7 @@ that recover the canonical transform form of conforming operators (and a
 concrete violation witness otherwise), plus desk-scale circle-grid and
 twisted-convolution counterparts."""
 
-from .convhom import ConvClassification, classify, construct, roundtrip_residual
+from .convhom import ConvClassification, classify, construct
 from .exchange import (ExchangeClassification, check_involution_symmetry,
                        classify_exchange, classify_fourier_exchange,
                        construct_exchange)

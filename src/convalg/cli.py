@@ -13,15 +13,14 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import convhom, exchange, intertwine, jsonio, torus, twisted
 from .errors import ClassificationError, ConvalgError, SchemaError
 from .groups import Group
-from .operators import (DEFAULT_TOL, Operator, Witness,
-                        check_conv_homomorphism)
+from .operators import DEFAULT_TOL, Operator, check_conv_homomorphism
 
 TWISTED_DEFAULT_TOL = 5e-2
 
@@ -40,28 +39,6 @@ class RunConfig:
     variant: str = "direct"
     grid_S: int = 64
     grid_L: float = 4.0
-
-
-def _jsonable(x: Any) -> Any:
-    if isinstance(x, Witness):
-        return jsonio.witness_to_json(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (complex, np.complexfloating)):
-        return jsonio.complex_to_json(complex(x))
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return jsonio.values_to_json(x.ravel().astype(np.complex128))
-    if isinstance(x, (str, int, float, bool)) or x is None:
-        return x
-    if hasattr(x, "passed") and hasattr(x, "max_residual"):
-        return jsonio.axiom_report_to_json(x)
-    return str(x)
 
 
 def _load_operator(cfg: RunConfig) -> Operator:
@@ -103,8 +80,7 @@ def _run_command(cfg: RunConfig) -> tuple[dict, bool]:
             raise SchemaError("classify-torus needs --input", "$")
         family = jsonio.kernel_family_from_json(jsonio.load(cfg.input))
         table = torus.build_operator(family)
-        cls = torus.classify_torus_operator(table, family.grid, cfg.tol,
-                                            seed=cfg.seed)
+        cls = torus.classify_torus_operator(table, family.grid, cfg.tol)
         return jsonio.torus_classification_to_json(cls), True
 
     if cfg.command == "verify-twisted":
@@ -205,14 +181,20 @@ def run(argv=None) -> int:
     except ClassificationError as exc:
         report, code = {"result": None,
                         "error": {"type": type(exc).__name__, "message": str(exc),
-                                  "details": _jsonable(exc.details)}}, 1
-    except (ConvalgError, OSError, ValueError) as exc:
+                                  "details": {k: jsonio.report_value_to_json(v)
+                                              for k, v in exc.details.items()}}}, 1
+    except (ConvalgError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         _emit(cfg, report)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # strict JSON refuses the NaN residual of products that overflowed
+        source = f"--input {cfg.input}" if cfg.input else "the input"
+        print(f"error: {source} is too large to check ({exc})", file=sys.stderr)
         return 2
     return code
 

@@ -20,12 +20,12 @@ import numpy as np
 
 from .errors import AxiomViolation, NotRootOfUnity, RowNotHomomorphic
 from .groups import SNAP_FLOOR, Group, snap_root, unit_roots
-from .operators import DEFAULT_TOL, Operator, check_conv_homomorphism
+from .operators import DEFAULT_TOL, Operator, check_conv_homomorphism, rel_residual
 
 
 @dataclass(frozen=True)
 class ConvClassification:
-    """Support set, frequency map on the support, and the recovery residual."""
+    """Support set, frequency map on the support, and the rebuild residual."""
 
     n: int
     support: tuple[int, ...]
@@ -55,7 +55,6 @@ def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
     table = T.table
     support: list[int] = []
     sigma: dict[int, int] = {}
-    residual = 0.0
     snap_window = SNAP_FLOOR * tol
     for eta in range(n):
         row = table[eta]
@@ -67,11 +66,9 @@ def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
                     eta, complex(v0),
                     f"row {eta}: vanishes at the identity column but not "
                     f"everywhere (max {row_max:.3e})")
-            residual = max(residual, row_max)
             continue
         if abs(v0 - 1.0) > snap_window:
             raise RowNotHomomorphic(eta, complex(v0))
-        residual = max(residual, abs(v0 - 1.0))
         if n == 1:
             support.append(eta)
             sigma[eta] = 0
@@ -83,10 +80,9 @@ def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
         m, dev = snap_root(z.conjugate(), n, tol)
         if m is None:
             raise NotRootOfUnity(eta, z, dev)
-        powers = z ** np.arange(n)
-        residual = max(residual, float(np.max(np.abs(row - powers))), root_dev)
         support.append(eta)
         sigma[eta] = m
+    residual = rel_residual(table, construct(T.group, support, sigma).table)
     return ConvClassification(n, tuple(support), dict(sigma), residual)
 
 
@@ -109,8 +105,3 @@ def construct(group: Group, support, sigma: Mapping[int, int]) -> Operator:
         table[eta] = unit_roots(-k * int(s), n)
     return Operator.from_table(group, table)
 
-
-def roundtrip_residual(T: Operator, cls: ConvClassification) -> float:
-    """Sup-norm distance between T's table and the reconstructed canonical table."""
-    rebuilt = construct(T.group, cls.support, cls.sigma)
-    return float(np.max(np.abs(T.table - rebuilt.table)))

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import (EntryVanishes, PhaseOffLattice, ReconstructionMismatch,
                      ZeroOperator)
 from .groups import Group, Signal, snap_root, unit_roots
-from .operators import DEFAULT_TOL, AxiomReport, Operator, Witness, rel_residual
+from .operators import (DEFAULT_TOL, AxiomReport, Operator, check_identities,
+                        rel_residual)
 
 
 @dataclass(frozen=True)
@@ -103,23 +104,16 @@ def check_intertwining(T: Operator, phi: PhaseFunction,
     """Verify T tau_k = M_k^(phi) T and T M_k^(psi) = tau_k T for every k."""
     D = T.to_dense().table
     n = T.group.n
-    worst = 0.0
-    wit = None
-    for k in range(n):
-        # columns of T tau_k: (T tau_k) delta_j = T delta_{j-k}
-        lhs1 = D[:, (np.arange(n) - k) % n]
-        rhs1 = phi.factors(k)[:, None] * D
-        # T M_k^(psi): scales column j by e^{k psi(j)}
-        lhs2 = D * psi.factors(k)[None, :]
-        rhs2 = np.roll(D, -k, axis=0)
-        for name, lhs, rhs in (("T tau_k = M_k^(phi) T", lhs1, rhs1),
-                               ("T M_k^(psi) = tau_k T", lhs2, rhs2)):
-            r = rel_residual(lhs, rhs)
-            if r > worst:
-                worst = r
-                if r > tol and wit is None:
-                    wit = Witness(name, (k,), lhs, rhs, r)
-    return AxiomReport(worst <= tol, worst, tol, witness=wit, checked=2 * n)
+
+    def cases():
+        for k in range(n):
+            # columns of T tau_k: (T tau_k) delta_j = T delta_{j-k}
+            yield ("T tau_k = M_k^(phi) T", (k,),
+                   D[:, (np.arange(n) - k) % n], phi.factors(k)[:, None] * D)
+            # T M_k^(psi): scales column j by e^{k psi(j)}
+            yield ("T M_k^(psi) = tau_k T", (k,),
+                   D * psi.factors(k)[None, :], np.roll(D, -k, axis=0))
+    return check_identities(cases(), tol)
 
 
 def _lattice_index(z: complex, n: int, tol: float, j: int) -> int:
@@ -135,7 +129,8 @@ def classify_intertwiner(T: Operator, tol: float = DEFAULT_TOL) -> IntertwinerCl
 
     c is read at (0, 0); psi(j) from the row-1/row-0 ratio of column j;
     m1, k0, m0 from lattice snaps of psi(0), psi(0)-psi(1) and the first-row
-    entry of column 1.  The full table is then verified against the rebuild.
+    entry of column 1.  The full table is then verified against the rebuild:
+    their rel_residual must stay within n * tol.
     """
     if not T.is_dense:
         raise ValueError("classification needs a dense operator")
@@ -156,7 +151,7 @@ def classify_intertwiner(T: Operator, tol: float = DEFAULT_TOL) -> IntertwinerCl
     k0 = (m1 - psi1) % n
     m0 = _lattice_index(complex(c / D[0, 1]), n, tol, 1)
     rebuilt = construct_intertwiner(T.group, k0, m0, m1, c)
-    residual = float(np.max(np.abs(D - rebuilt.table)))
-    if residual > tol * (1.0 + abs(c)) * n:
+    residual = rel_residual(D, rebuilt.table)
+    if residual > n * tol:
         raise ReconstructionMismatch(residual)
     return IntertwinerClassification(k0, m0, m1, c, residual)

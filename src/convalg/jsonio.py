@@ -140,18 +140,24 @@ def operator_from_json(obj: Any, path: str = "$") -> Operator:
 
 # -- reports and classifications -----------------------------------------------
 
-def witness_to_json(w: Witness) -> dict:
-    def enc(x):
-        if isinstance(x, Signal):
-            return signal_to_json(x)
-        if isinstance(x, (int, float)):
-            return x
-        if isinstance(x, (complex, np.complexfloating)):
-            return complex_to_json(complex(x))
-        return str(x)
+def report_value_to_json(x: Any) -> Any:
+    """A witness input or a rejection detail as JSON; str() for anything else."""
+    if isinstance(x, Witness):
+        return witness_to_json(x)
+    if isinstance(x, AxiomReport):
+        return axiom_report_to_json(x)
+    if isinstance(x, Signal):
+        return signal_to_json(x)
+    if isinstance(x, (complex, np.complexfloating)):
+        return complex_to_json(complex(x))
+    if isinstance(x, (str, int, float)) or x is None:     # bool is an int
+        return x
+    return str(x)
 
+
+def witness_to_json(w: Witness) -> dict:
     return {"identity": w.identity,
-            "inputs": [enc(x) for x in w.inputs],
+            "inputs": [report_value_to_json(x) for x in w.inputs],
             "lhs": values_to_json(np.atleast_1d(w.lhs)),
             "rhs": values_to_json(np.atleast_1d(w.rhs)),
             "residual": w.residual}
@@ -200,23 +206,24 @@ def kernel_family_from_json(obj: Any, path: str = "$") -> KernelFamily:
     _check_schema(obj, path)
     grid = TorusGrid(_int_from_json(obj["M"], f"{path}.M"))
     N = _int_from_json(obj["N"], f"{path}.N")
-    rows = np.zeros((2 * N + 1, grid.M), dtype=np.complex128)
-    seen = set()
+    if N < 0:
+        raise SchemaError(f"window half-width {N} is negative", f"{path}.N")
+    # the count is checked before anything is allocated for the rows
     if not isinstance(obj["kernels"], list) or len(obj["kernels"]) != 2 * N + 1:
         raise SchemaError(f"expected {2 * N + 1} kernels", f"{path}.kernels")
+    rows = [None] * (2 * N + 1)
     for i, entry in enumerate(obj["kernels"]):
         p = f"{path}.kernels[{i}]"
         if not isinstance(entry, list) or len(entry) != 2:
             raise SchemaError("kernel entries are [xi, values] pairs", p)
         xi = _int_from_json(entry[0], f"{p}[0]")
-        if not -N <= xi <= N or xi in seen:
+        if not -N <= xi <= N or rows[xi + N] is not None:
             raise SchemaError(f"frequency {xi} out of window or repeated", p)
-        seen.add(xi)
         v = values_from_json(entry[1], f"{p}[1]")
         if v.shape != (grid.M,):
             raise SchemaError(f"kernel length {v.shape[0]} != M = {grid.M}", p)
         rows[xi + N] = v
-    return KernelFamily(grid, N, rows)
+    return KernelFamily(grid, N, np.stack(rows))
 
 
 def phase_space_to_json(f: PhaseSpaceFunction) -> dict:

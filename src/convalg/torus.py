@@ -170,27 +170,22 @@ class TorusClassification:
 
 
 def classify_torus_operator(table: np.ndarray, grid: TorusGrid,
-                            tol: float = DEFAULT_TOL, *,
-                            verify_signals: int = 8,
-                            seed: int = 0) -> TorusClassification:
+                            tol: float = DEFAULT_TOL) -> TorusClassification:
     """Classify a dense table as (T f)(xi) = chi_E(xi) fhat(phi(xi)).
 
     Per frequency: a kernel below tol in sup norm leaves the support; any
     other kernel must satisfy the character equation (else the violation is
     raised with the offending xi) and yields phi(xi) by frequency recovery,
     whose unimodularity and snap gates carry the SNAP_FLOOR * tol floor.
-    The assembled form is then verified on seeded band-limited signals.
+    The residual is the distance from the kernels to the canonical ones.
     """
     family = extract_kernels(table, grid)
-    M, N = grid.M, family.N
     support: list[int] = []
     freq_map: dict[int, int] = {}
-    residual = 0.0
+    canonical = np.zeros_like(family.kernels)
     for xi in family.frequencies:
         h = family.kernel(xi)
-        sup = float(np.max(np.abs(h)))
-        if sup <= tol:
-            residual = max(residual, sup)
+        if float(np.max(np.abs(h))) <= tol:
             continue
         report = check_character_equation(h, tol)
         if not report.passed:
@@ -203,22 +198,6 @@ def classify_torus_operator(table: np.ndarray, grid: TorusGrid,
             raise
         support.append(xi)
         freq_map[xi] = -int(a)
-        residual = max(residual, report.max_residual)
-
-    # band-limited signals f = sum_nu c_nu e^{2i pi nu x}; the expected output
-    # at xi in the support is the quadrature coefficient fft(f)[phi(xi)] / M
-    rng = np.random.default_rng(seed)
-    table = np.asarray(table, dtype=np.complex128)
-    band = min(N + 1, M // 4)
-    nus = np.arange(-band, band + 1)
-    waves = unit_roots(np.outer(np.arange(M), nus), M)
-    rows = np.array(support, dtype=int) + N
-    freqs = np.array([freq_map[xi] for xi in support], dtype=int) % M
-    for _ in range(verify_signals):
-        coeffs = rng.normal(size=nus.size) + 1j * rng.normal(size=nus.size)
-        f = waves @ coeffs
-        out = table @ f
-        expect = np.zeros(2 * N + 1, dtype=np.complex128)
-        expect[rows] = np.fft.fft(f)[freqs] * grid.weight
-        residual = max(residual, rel_residual(out, expect))
-    return TorusClassification(N, tuple(support), freq_map, residual)
+        canonical[xi + family.N] = character(grid, a)
+    residual = rel_residual(family.kernels, canonical)
+    return TorusClassification(family.N, tuple(support), freq_map, residual)

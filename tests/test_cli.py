@@ -240,7 +240,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("doc", ["group-1", "identity_n4.json"])
     def test_overflowing_entry(self, tmp_path, capsys, command, doc):
         # 1e300 is finite, but its products overflow to a NaN residual,
-        # which no report may carry
+        # which no report may carry; the error names the input
         if doc == "group-1":
             op = {"schema": 1, "group": [1], "columns": [[[1e300, 0.0]]]}
         else:
@@ -248,10 +248,48 @@ class TestErrorHandling:
             op["columns"][0][1] = [1e300, 0.0]
         p = tmp_path / "big.json"
         p.write_text(json.dumps(op))
-        assert run([command, "--input", str(p)]) == 2
+        for output in ([], ["--output", str(tmp_path / "rep.json")]):
+            assert run([command, "--input", str(p)] + output) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert len(err.strip().splitlines()) == 1
+            assert str(p) in err
+            assert "cannot write the report" not in err
+            assert [f.name for f in tmp_path.iterdir()] == ["big.json"]
+
+    @pytest.mark.parametrize("doc", [
+        {"schema": 1, "M": 2_000_000_000, "N": 0},
+        {"schema": 1, "M": 4, "N": 2_000_000_000, "kernels": []},
+        {"schema": 1, "M": 4, "N": -3, "kernels": []},
+    ], ids=["huge-M", "huge-N", "negative-N"])
+    def test_kernel_family_sizes_checked_before_allocation(self, tmp_path, capsys, doc):
+        doc = {"kernels": [[0, [[1.0, 0.0]] * 3]], **doc}
+        p = tmp_path / "fam.json"
+        p.write_text(json.dumps(doc))
+        assert run(["classify-torus", "--input", str(p)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.strip().splitlines()) == 1
+        assert "$.N" in err or "$.kernels" in err
+
+    # sizes whose tables exceed the 128 TiB user address space of x86-64,
+    # so the allocation fails at once and touches no memory
+    @pytest.mark.parametrize("argv, params", [
+        (["construct"], {"schema": 1, "n": 10**7, "support": [0], "sigma": [[0, 0]]}),
+        (["construct"], {"schema": 1, "n": 10**7, "k0": 1, "m0": 0, "m1": 0,
+                         "c": [1.0, 0.0]}),
+        (["verify-twisted", "--grid-S", "5000000"], None),
+    ], ids=["construct-conv", "construct-intertwiner", "verify-twisted"])
+    def test_unallocatable_size(self, tmp_path, capsys, argv, params):
+        if params is not None:
+            p = tmp_path / "params.json"
+            p.write_text(json.dumps(params))
+            argv = argv + ["--input", str(p)]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "allocate" in err
 
     def test_unwritable_output(self, tmp_path, capsys):
         out = tmp_path / "missing" / "rep.json"

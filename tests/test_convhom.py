@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from convalg import (Group, Operator, check_conv_homomorphism, classify,
-                     construct, roundtrip_residual)
+                     construct, rel_residual)
 from convalg.errors import AxiomViolation, NotRootOfUnity, RowNotHomomorphic
 
 
@@ -120,14 +120,31 @@ class TestConstruct:
 class TestRoundtrip:
     def test_dft_roundtrip_residual(self):
         T = Operator.dft(Group(8))
-        assert roundtrip_residual(T, classify(T)) <= 1e-12
+        c = classify(T)
+        rebuilt = construct(T.group, c.support, c.sigma)
+        assert np.max(np.abs(T.table - rebuilt.table)) <= 1e-12
 
     def test_random_construction_roundtrip_residual(self):
         rng = np.random.default_rng(1)
         for n in (3, 7, 11):
             support, sigma = random_support_sigma(n, rng)
             T = construct(Group(n), support, sigma)
-            assert roundtrip_residual(T, classify(T)) <= 1e-12
+            c = classify(T)
+            rebuilt = construct(T.group, c.support, c.sigma)
+            assert np.max(np.abs(T.table - rebuilt.table)) <= 1e-12
+
+    def test_residual_is_distance_to_rebuild(self):
+        # noise keeps the residual away from zero, so the equality is not trivial
+        rng = np.random.default_rng(2)
+        for n in (1, 4, 9):
+            support, sigma = random_support_sigma(n, rng)
+            table = construct(Group(n), support, sigma).table
+            noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            T = Operator.from_table(Group(n), table + 1e-12 * noise)
+            c = classify(T)
+            rebuilt = construct(T.group, c.support, c.sigma)
+            assert c.residual == rel_residual(T.table, rebuilt.table)
+            assert 0 < c.residual <= 1e-11
 
     def test_shifted_sigma_has_large_residual(self):
         g = Group(8)
@@ -137,7 +154,6 @@ class TestRoundtrip:
                           {e: (s + 1) % 8 for e, s in c.sigma.items()}, c.residual)
         bad = construct(g, shifted.support, shifted.sigma)
         assert np.max(np.abs(T.table - bad.table)) >= 1.0
-        assert roundtrip_residual(T, shifted) >= 1.0
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_exhaustive_recovery(self, n):
@@ -163,6 +179,33 @@ class TestRootLattice:
             z = T.table[eta, 1]
             close = np.abs(roots - z) <= 1e-8
             assert np.count_nonzero(close) == 1
+
+
+class TestPassImpliesClassifies:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+    def test_near_canonical_tables_passing_the_check_classify(self, n):
+        # T (1 + e) entrywise, (1 + eps) T and T + e at amplitudes around tol:
+        # whichever passes the basis check must classify to its planted
+        # (support, sigma)
+        g = Group(n)
+        rng = np.random.default_rng(n)
+        passed = 0
+        for amplitude in np.logspace(-11, -8, 10):
+            for _ in range(4):
+                support, sigma = random_support_sigma(n, rng)
+                table = construct(g, support, sigma).table
+                noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                for perturbed in (table * (1 + amplitude * noise),
+                                  (1 + amplitude * noise[0, 0]) * table,
+                                  table + amplitude * noise):
+                    T = Operator.from_table(g, perturbed)
+                    if not check_conv_homomorphism(T, tol=1e-9).passed:
+                        continue
+                    passed += 1
+                    c = classify(T, 1e-9)
+                    assert list(c.support) == support
+                    assert c.sigma == sigma
+        assert passed >= 40
 
 
 class TestCompletenessSearch:
@@ -199,6 +242,7 @@ class TestCompletenessSearch:
                     passing += 1
                     T = Operator.from_table(Group(n), B[idx])
                     c = classify(T)
-                    assert roundtrip_residual(T, c) <= 1e-6
+                    rebuilt = construct(T.group, c.support, c.sigma)
+                    assert np.max(np.abs(T.table - rebuilt.table)) <= 1e-6
         assert total >= 99_000
         assert passing > 0  # the search space genuinely contains passing tables

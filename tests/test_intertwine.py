@@ -3,7 +3,8 @@ import pytest
 
 from convalg import (Group, Operator, classify, check_conv_homomorphism,
                      check_intertwining, classify_intertwiner,
-                     construct_intertwiner, delta, modulate, translate)
+                     construct_intertwiner, delta, modulate, rel_residual,
+                     translate)
 from convalg.intertwine import PhaseFunction
 from convalg.errors import (EntryVanishes, PhaseOffLattice,
                             ReconstructionMismatch, ZeroOperator)
@@ -123,6 +124,21 @@ class TestCheckIntertwining:
         assert not rep.passed
         assert rep.witness.inputs[0] == 1  # first failing k
 
+    def test_overflowing_entry_fails_with_nan_residual(self):
+        # |D[0, 0]| overflows to inf, so some residuals are NaN: the check
+        # must fail on them, not skip them
+        tbl = np.zeros((4, 4), dtype=complex)
+        tbl[0, 0] = 1.5e308 + 1.5e308j
+        tbl[1, 2] = 1.0
+        g = Group(4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = check_intertwining(Operator.from_table(g, tbl),
+                                     PhaseFunction.affine(g, 1, 0),
+                                     PhaseFunction.affine(g, -1, 0))
+        assert not rep.passed
+        assert np.isnan(rep.max_residual)
+        assert rep.witness is not None
+
     def test_both_relations_checked_pointwise(self):
         # manual verification of both identities for one constructed operator
         g = Group(6)
@@ -180,6 +196,15 @@ class TestClassify:
         with pytest.raises(ReconstructionMismatch):
             classify_intertwiner(Operator.from_table(g, good))
 
+    def test_residual_is_distance_to_rebuild(self):
+        g = Group(8)
+        tbl = np.array(construct_intertwiner(g, 3, 2, 5, 2 - 1j).table)
+        tbl += 1e-12 * np.random.default_rng(0).normal(size=tbl.shape)
+        got = classify_intertwiner(Operator.from_table(g, tbl))
+        rebuilt = construct_intertwiner(g, got.k0, got.m0, got.m1, got.c)
+        assert got.residual == rel_residual(tbl, rebuilt.table)
+        assert 0 < got.residual <= 1e-11
+
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_seeded_roundtrips(self, n):
         rng = np.random.default_rng(n)
@@ -193,6 +218,34 @@ class TestClassify:
             got = classify_intertwiner(T)
             assert (got.k0, got.m0, got.m1) == (k0, m0, m1)
             assert abs(got.c - c) <= 1e-9 * abs(c)
+
+
+class TestPassImpliesClassifies:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+    def test_near_canonical_tables_passing_the_check_classify(self, n):
+        # D (1 + e) entrywise, (1 + eps) D and D + e at amplitudes around tol:
+        # whichever passes check_intertwining with its affine phases must
+        # classify to its planted (k0, m0, m1)
+        g = Group(n)
+        rng = np.random.default_rng(n)
+        passed = 0
+        for amplitude in np.logspace(-11, -8, 10):
+            for _ in range(4):
+                k0, m0, m1, c = draw_params(n, rng)
+                table = construct_intertwiner(g, k0, m0, m1, c).table
+                phi = PhaseFunction.affine(g, k0, m0)
+                psi = PhaseFunction.affine(g, -k0, m1)
+                noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                for perturbed in (table * (1 + amplitude * noise),
+                                  (1 + amplitude * noise[0, 0]) * table,
+                                  table + amplitude * noise):
+                    T = Operator.from_table(g, perturbed)
+                    if not check_intertwining(T, phi, psi, 1e-9).passed:
+                        continue
+                    passed += 1
+                    got = classify_intertwiner(T, 1e-9)
+                    assert (got.k0, got.m0, got.m1) == (k0, m0, m1)
+        assert passed >= 40
 
 
 class TestUniqueness:

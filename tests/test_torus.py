@@ -3,7 +3,8 @@ import pytest
 
 from convalg import (TorusGrid, check_character_equation,
                      classify_torus_operator, extract_kernels,
-                     fourier_coefficient_operator, recover_frequency)
+                     fourier_coefficient_operator, recover_frequency,
+                     rel_residual)
 from convalg.errors import (CharacterEquationViolation, NotUnimodular,
                             SnapFailure)
 from convalg.torus import KernelFamily, build_operator, character
@@ -154,6 +155,18 @@ class TestClassify:
         with pytest.raises(CharacterEquationViolation) as exc:
             classify_torus_operator(T, grid)
         assert exc.value.xi == 1
+
+    def test_residual_is_distance_to_rebuilt_characters(self):
+        grid = TorusGrid(64)
+        T = np.array(fourier_coefficient_operator(grid, 5))
+        T[2] = 0.0
+        T += 1e-12 * np.random.default_rng(0).normal(size=T.shape) * grid.weight
+        cls = classify_torus_operator(T, grid)
+        canonical = np.zeros_like(T)
+        for xi in cls.support:
+            canonical[xi + 5] = character(grid, -cls.freq_map[xi])
+        assert cls.residual == rel_residual(extract_kernels(T, grid).kernels, canonical)
+        assert 0 < cls.residual <= 1e-11
 
     def test_degenerate_dichotomy(self):
         grid = TorusGrid(64)
