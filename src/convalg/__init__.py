@@ -9,9 +9,8 @@ from .exchange import (ExchangeClassification, check_involution_symmetry,
                        construct_exchange)
 from .groups import (Group, Signal, constant, convolve, delta, dft,
                      expectation, idft, pointwise_mul)
-from .intertwine import (IntertwinerClassification, PhaseFunction,
-                         check_intertwining, classify_intertwiner,
-                         construct_intertwiner, modulate, translate)
+from .intertwine import (IntertwinerClassification, classify_intertwiner,
+                         construct_intertwiner)
 from .operators import (AxiomReport, Operator, Witness, apply,
                         check_conv_homomorphism, check_exchange_axioms,
                         compose, random_signal, rel_residual)

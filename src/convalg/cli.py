@@ -175,6 +175,9 @@ def run(argv=None) -> int:
     if cfg.n is not None and cfg.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
         return 2
+    if cfg.mode == "sampled" and cfg.samples < 1:
+        print("error: --samples must be >= 1", file=sys.stderr)
+        return 2
     try:
         result, passed = _run_command(cfg)
         report, code = {"result": result, "error": None}, 0 if passed else 1

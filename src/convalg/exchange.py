@@ -160,7 +160,9 @@ def classify_fourier_exchange(T: Operator, tol: float = DEFAULT_TOL, *,
 
 def check_involution_symmetry(T: Operator, tol: float = DEFAULT_TOL, *,
                               samples: int = 16, seed: int = 0) -> AxiomReport:
-    """Check T(T(a))(k) = a(-k) on seeded random signals."""
+    """Check T(T(a))(k) = a(-k) on `samples` (at least 1) seeded random signals."""
+    if samples < 1:
+        raise ValueError(f"need at least 1 sample, got {samples}")
     group = T.group
     n = group.order
     rng = np.random.default_rng(seed)

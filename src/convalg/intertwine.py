@@ -23,54 +23,8 @@ import numpy as np
 
 from .errors import (EntryVanishes, PhaseOffLattice, ReconstructionMismatch,
                      ZeroOperator)
-from .groups import Group, Signal, snap_root, unit_roots
-from .operators import (DEFAULT_TOL, AxiomReport, Operator, check_identities,
-                        rel_residual)
-
-
-@dataclass(frozen=True)
-class PhaseFunction:
-    """n phase exponents, stored purely imaginary with angle in [0, 2pi)."""
-
-    values: tuple[complex, ...]
-
-    def __init__(self, values, tol: float = 1e-9):
-        vals = []
-        for v in values:
-            v = complex(v)
-            if abs(v.real) > tol:
-                raise ValueError(
-                    f"phase exponent {v!r} has a nonzero real part; "
-                    "only unimodular modulations are representable")
-            vals.append(1j * (v.imag % (2.0 * np.pi)))
-        object.__setattr__(self, "values", tuple(vals))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @classmethod
-    def affine(cls, group: Group, slope: int, offset: int) -> "PhaseFunction":
-        """phi(j) = (2i pi / n) (slope * j + offset)."""
-        n = group.n
-        j = np.arange(n)
-        return cls(2j * np.pi * ((slope * j + offset) % n) / n)
-
-    def factors(self, k: int) -> np.ndarray:
-        """The modulation weights e^{k phi(j)}."""
-        return np.exp(k * np.asarray(self.values))
-
-
-def translate(a: Signal, k: int) -> Signal:
-    """tau_k a(j) = a(j + k mod n)."""
-    return Signal(a.group, np.roll(a.values, -k))
-
-
-def modulate(a: Signal, k: int, phi: PhaseFunction) -> Signal:
-    """M_k^(phi) a(j) = e^{k phi(j)} a(j)."""
-    if len(phi) != a.group.order:
-        raise ValueError(
-            f"phase function has {len(phi)} entries, signal has {a.group.order}")
-    return Signal(a.group, phi.factors(k) * a.values)
+from .groups import Group, snap_root, unit_roots
+from .operators import DEFAULT_TOL, Operator, rel_residual
 
 
 @dataclass(frozen=True)
@@ -80,11 +34,6 @@ class IntertwinerClassification:
     m1: int
     c: complex
     residual: float
-
-    def phases(self, group: Group) -> tuple[PhaseFunction, PhaseFunction]:
-        """The (phi, psi) pair realized by these parameters."""
-        return (PhaseFunction.affine(group, self.k0, self.m0),
-                PhaseFunction.affine(group, -self.k0, self.m1))
 
 
 def construct_intertwiner(group: Group, k0: int, m0: int, m1: int,
@@ -97,23 +46,6 @@ def construct_intertwiner(group: Group, k0: int, m0: int, m1: int,
     ell = np.arange(n)[:, None]
     table = c * unit_roots(ell * m1 - j[None, :] * (k0 * ell + m0), n)
     return Operator.from_table(group, table)
-
-
-def check_intertwining(T: Operator, phi: PhaseFunction,
-                       psi: PhaseFunction, tol: float = DEFAULT_TOL) -> AxiomReport:
-    """Verify T tau_k = M_k^(phi) T and T M_k^(psi) = tau_k T for every k."""
-    D = T.to_dense().table
-    n = T.group.n
-
-    def cases():
-        for k in range(n):
-            # columns of T tau_k: (T tau_k) delta_j = T delta_{j-k}
-            yield ("T tau_k = M_k^(phi) T", (k,),
-                   D[:, (np.arange(n) - k) % n], phi.factors(k)[:, None] * D)
-            # T M_k^(psi): scales column j by e^{k psi(j)}
-            yield ("T M_k^(psi) = tau_k T", (k,),
-                   D * psi.factors(k)[None, :], np.roll(D, -k, axis=0))
-    return check_identities(cases(), tol)
 
 
 def _lattice_index(z: complex, n: int, tol: float, j: int) -> int:

@@ -10,26 +10,30 @@ All residuals use the scale-free metric
     rel(lhs, rhs) = max|lhs - rhs| / (1 + max(max|lhs|, max|rhs|))
 
 character_residuals applies it to the character equation h(k + l) = h(k) h(l)
-on every pair in O(rows * order) memory; the basis check and the circle-grid
-kernel check both go through it.  The sampled checkers (here, in exchange and
-in intertwine) hand their cases to check_identities.
+on every pair in O(rows * order + order^2) memory; the groups are abelian, so
+the equation is symmetric in (k, l) and each unordered pair is measured once.
+The basis check and the circle-grid kernel check both go through it.  The
+sampled checkers (here and in exchange) hand their cases to check_identities.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import GroupMismatch
 from .groups import Group, Signal, constant, convolve, delta, pointwise_mul
 
 DEFAULT_TOL = 1e-9
 
-# complex entries per temporary in character_residuals (1 MiB)
+# complex entries per temporary in character_residuals (1 MiB), and the
+# fewest it runs a k-block with
 _BLOCK = 1 << 16
+_MIN_BLOCK = 1 << 13
 
 
 def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -44,10 +48,15 @@ def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
 def character_residuals(rows: np.ndarray, group: Group) -> np.ndarray:
     """Entry (k, l) is rel_residual(rows[:, k + l], rows[:, k] * rows[:, l]).
 
-    rows is (r, order), one function on group per row.  h(k + l) is read
-    from a window view of the rows wrap-padded along each factor axis, and k
-    runs in blocks along the last factor, so no temporary outgrows _BLOCK
-    entries or one (r, order) slab.
+    rows is (r, order), one function on group per row.  The group is abelian,
+    so the entry is symmetric in (k, l): each unordered pair is measured once,
+    as rows[:, k] * rows[:, l] with k <= l, and the lower triangle is copied
+    from the upper, so the result is exactly symmetric.  h(k + l) is read from
+    a window view of the rows wrap-padded along each factor axis, and the
+    scale's max_r |h_r(k + l)| from the same window over the per-column
+    maximum of |rows|.  k runs in blocks along the last factor and l from the
+    block's first coordinate along the first; no temporary outgrows _BLOCK
+    entries or one (r, order) slab, so memory stays O(r * order + order^2).
     """
     rows = np.asarray(rows, dtype=np.complex128)
     r, n = rows.shape
@@ -56,23 +65,51 @@ def character_residuals(rows: np.ndarray, group: Group) -> np.ndarray:
     ext = H
     for axis, m in enumerate(f, 1):
         ext = np.concatenate([ext, ext[(slice(None),) * axis + (slice(0, m - 1),)]], axis)
-    ext_mag = np.abs(ext)
-    # (r, k..., l...) windows of ext and |ext| at offset k
-    window = as_strided(ext, (r,) + f + f, ext.strides + ext.strides[1:], writeable=False)
-    mag_window = as_strided(ext_mag, (r,) + f + f, ext_mag.strides + ext_mag.strides[1:],
-                            writeable=False)
+    # the max over a single row is the row itself
+    top = (lambda x: x[0]) if r == 1 else (lambda x: x.max(axis=0))
+    peak = top(np.abs(ext))
+    # (r, k..., l...) windows of ext and (k..., l...) windows of peak at offset
+    # k; the constructor checks they stay inside the buffer, and at the small
+    # sizes costs a fraction of as_strided
+    window = np.ndarray((r,) + f + f, ext.dtype, ext, strides=ext.strides + ext.strides[1:])
+    peak_window = np.ndarray(f + f, peak.dtype, peak, strides=peak.strides * 2)
     res = np.empty(f + f)
-    step = max(1, _BLOCK // (r * n))
-    for lead in np.ndindex(*f[:-1]):
+    # about 1/8 of the last factor, so the skipped pairs approach half; no
+    # fewer than _MIN_BLOCK entries, where numpy's per-call cost dominates
+    step = max(1, min(max(-(-f[-1] // 8), -(-_MIN_BLOCK // (r * n))), _BLOCK // (r * n)))
+    step = -(-f[-1] // -(-f[-1] // step))   # as many blocks, evened out
+    for lead in itertools.product(*map(range, f[:-1])):
         for a in range(0, f[-1], step):
-            k = (slice(None),) + lead + (slice(a, a + step),)
-            rhs = H[k][(Ellipsis,) + (None,) * len(f)] * H[:, None]
-            mag = np.maximum(np.abs(rhs), mag_window[k])
-            scale = 1.0 + mag.max(axis=0)
-            np.subtract(window[k], rhs, out=rhs)
+            k = lead + (slice(a, a + step),)
+            l0 = (lead + (a,))[0]
+            kl = k + (slice(l0, None),)
+            rhs = H[(slice(None),) + k][(Ellipsis,) + (None,) * len(f)] * H[:, None, l0:]
+            mag = np.abs(rhs)
+            scale = np.maximum(top(mag), peak_window[kl])
+            scale += 1.0
+            np.subtract(window[(slice(None),) + kl], rhs, out=rhs)
             np.abs(rhs, out=mag)
-            np.divide(mag.max(axis=0), scale, out=res[k[1:]])
-    return res.reshape(n, n)
+            np.divide(top(mag), scale, out=res[kl])
+    # every row k now holds each l >= k: copy the upper triangle onto the
+    # lower in strips of 1/8 of the order or one k-block, whichever is wider,
+    # each strip's square through a mask and the rest of it as a transpose
+    res = res.reshape(n, n)
+    width = max(step, -(-n // 8))
+    lower = _strict_lower(width)
+    for s in range(0, n, width):
+        e = s + width
+        res[e:, s:e] = res[s:e, e:].T
+        square = res[s:e, s:e]
+        np.copyto(square, square.T, where=lower[:len(square), :len(square)])
+    return res
+
+
+@functools.lru_cache(maxsize=8)
+def _strict_lower(w: int) -> np.ndarray:
+    """The (w, w) mask below the diagonal, read-only since callers share it."""
+    mask = np.tri(w, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def random_signal(group: Group, rng: np.random.Generator) -> Signal:
@@ -230,7 +267,8 @@ def check_conv_homomorphism(T: Operator, mode: str = "basis", *,
     full identity when T is linear (both sides are bilinear in (f, g)): on
     point masses it is the character equation of every row of the table,
     and the witness is the first failing pair in row-major order.  sampled
-    mode draws `count` random pairs with unit-disc entries.
+    mode draws `count` random pairs with unit-disc entries; a count below 1
+    raises ValueError, since a check of no pairs would pass any operator.
     """
     group = T.group
     n = group.order
@@ -250,6 +288,8 @@ def check_conv_homomorphism(T: Operator, mode: str = "basis", *,
                       D[:, kl], D[:, k0] * D[:, l0], float(res[k0, l0]))
         return AxiomReport(False, worst, tol, witness=wit, checked=n * n)
     if mode == "sampled":
+        if count < 1:
+            raise ValueError(f"sampled mode needs a count of at least 1, got {count}")
         rng = np.random.default_rng(seed)
 
         def cases():
@@ -265,9 +305,12 @@ def check_exchange_axioms(T: Operator, *, count: int = 64, seed: int = 0,
                           tol: float = DEFAULT_TOL) -> AxiomReport:
     """Check both exchange identities T(a.b) = T(a).T(b) and T(a*b) = T(a)*T(b).
 
-    Random pairs plus the structured pairs (c*ones, a) and (delta_j, a) that
-    the recovery procedure actually relies on.
+    `count` random pairs (0 allowed, a negative count raises ValueError)
+    plus the structured pairs (c*ones, a) and (delta_j, a) that the recovery
+    procedure actually relies on.
     """
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     group = T.group
     rng = np.random.default_rng(seed)
     pairs = []

@@ -6,9 +6,12 @@ so that library results are checked against a second, unrelated route.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from convalg import Group, Signal
+from convalg import Group, Operator, Signal
+from convalg.operators import DEFAULT_TOL, AxiomReport, check_identities
 
 
 def direct_convolve(f: Signal, g: Signal) -> np.ndarray:
@@ -64,3 +67,67 @@ def naive_character_residuals(rows: np.ndarray, group: Group) -> np.ndarray:
     rhs = rows[:, :, None] * rows[:, None, :]
     scale = 1.0 + np.maximum(np.abs(lhs).max(axis=0), np.abs(rhs).max(axis=0))
     return np.abs(lhs - rhs).max(axis=0) / scale
+
+
+# -- the intertwiner's axiom oracle: translations and modulations -------------
+
+@dataclass(frozen=True)
+class PhaseFunction:
+    """n phase exponents, stored purely imaginary with angle in [0, 2pi)."""
+
+    values: tuple[complex, ...]
+
+    def __init__(self, values, tol: float = 1e-9):
+        vals = []
+        for v in values:
+            v = complex(v)
+            if abs(v.real) > tol:
+                raise ValueError(
+                    f"phase exponent {v!r} has a nonzero real part; "
+                    "only unimodular modulations are representable")
+            vals.append(1j * (v.imag % (2.0 * np.pi)))
+        object.__setattr__(self, "values", tuple(vals))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @classmethod
+    def affine(cls, group: Group, slope: int, offset: int) -> "PhaseFunction":
+        """phi(j) = (2i pi / n) (slope * j + offset)."""
+        n = group.n
+        j = np.arange(n)
+        return cls(2j * np.pi * ((slope * j + offset) % n) / n)
+
+    def factors(self, k: int) -> np.ndarray:
+        """The modulation weights e^{k phi(j)}."""
+        return np.exp(k * np.asarray(self.values))
+
+
+def translate(a: Signal, k: int) -> Signal:
+    """tau_k a(j) = a(j + k mod n)."""
+    return Signal(a.group, np.roll(a.values, -k))
+
+
+def modulate(a: Signal, k: int, phi: PhaseFunction) -> Signal:
+    """M_k^(phi) a(j) = e^{k phi(j)} a(j)."""
+    if len(phi) != a.group.order:
+        raise ValueError(
+            f"phase function has {len(phi)} entries, signal has {a.group.order}")
+    return Signal(a.group, phi.factors(k) * a.values)
+
+
+def check_intertwining(T: Operator, phi: PhaseFunction,
+                       psi: PhaseFunction, tol: float = DEFAULT_TOL) -> AxiomReport:
+    """Verify T tau_k = M_k^(phi) T and T M_k^(psi) = tau_k T for every k."""
+    D = T.to_dense().table
+    n = T.group.n
+
+    def cases():
+        for k in range(n):
+            # columns of T tau_k: (T tau_k) delta_j = T delta_{j-k}
+            yield ("T tau_k = M_k^(phi) T", (k,),
+                   D[:, (np.arange(n) - k) % n], phi.factors(k)[:, None] * D)
+            # T M_k^(psi): scales column j by e^{k psi(j)}
+            yield ("T M_k^(psi) = tau_k T", (k,),
+                   D * psi.factors(k)[None, :], np.roll(D, -k, axis=0))
+    return check_identities(cases(), tol)

@@ -10,15 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from convalg import (Group, Operator, check_conv_homomorphism,
-                     check_intertwining, classify, classify_exchange,
-                     classify_intertwiner, construct, construct_exchange,
-                     construct_intertwiner, recover_frequency)
+from convalg import (Group, Operator, check_conv_homomorphism, classify,
+                     classify_exchange, classify_intertwiner, construct,
+                     construct_exchange, construct_intertwiner, recover_frequency)
 from convalg.errors import ClassificationError, FixedPointViolation
 from convalg.groups import Signal
-from convalg.intertwine import PhaseFunction
 from convalg.torus import TorusGrid, character, check_character_equation
 from convalg.twisted import PlaneGrid, gaussian_pair, verify_rho_homomorphism
+
+from helpers import PhaseFunction, check_intertwining
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:

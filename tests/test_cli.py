@@ -63,6 +63,23 @@ class TestCheckAxioms:
         assert code == 1
         assert read(out)["result"]["witness"] is not None
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_sampled_count_below_one_rejected(self, tmp_path, capsys, samples):
+        out = tmp_path / "rep.json"
+        code = run(["check-axioms", "--input", str(FIXTURES / "identity_n4.json"),
+                    "--mode", "sampled", "--samples", samples, "--output", str(out)])
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert err == "error: --samples must be >= 1\n"
+        assert not out.exists()
+
+    def test_basis_mode_ignores_samples(self, tmp_path):
+        out = tmp_path / "rep.json"
+        code = run(["check-axioms", "--input", str(FIXTURES / "identity_n4.json"),
+                    "--samples", "0", "--output", str(out)])
+        assert code == 1
+        assert read(out)["result"]["checked"] == 16
+
 
 class TestConstructPipeline:
     def test_conv_params_to_operator_to_classification(self, tmp_path):

@@ -230,6 +230,14 @@ class TestInvolutionSymmetry:
         rep = check_involution_symmetry(Operator.identity(Group(2)))
         assert rep.passed
 
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_sample_count_below_one_rejected(self, samples):
+        # the identity fails the check on Group(4); a check of no sample must not pass it
+        T = Operator.identity(Group(4))
+        assert not check_involution_symmetry(T).passed
+        with pytest.raises(ValueError):
+            check_involution_symmetry(T, samples=samples)
+
 
 class TestEdgeCases:
     def test_n1_rejected(self):

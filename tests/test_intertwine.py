@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from convalg import (Group, Operator, classify, check_conv_homomorphism,
-                     check_intertwining, classify_intertwiner,
-                     construct_intertwiner, delta, modulate, rel_residual,
-                     translate)
-from convalg.intertwine import PhaseFunction
+                     classify_intertwiner, construct_intertwiner, delta,
+                     rel_residual)
 from convalg.errors import (EntryVanishes, PhaseOffLattice,
                             ReconstructionMismatch, ZeroOperator)
 
-from helpers import disc_signal
+from helpers import PhaseFunction, check_intertwining, disc_signal, modulate, translate
 
 
 def draw_params(n, rng):

@@ -111,6 +111,14 @@ class TestConvHomomorphismCheck:
             check_conv_homomorphism(box, "basis")
         assert check_conv_homomorphism(box, "sampled", count=4).passed is False
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_sampled_count_below_one_rejected(self, count):
+        T = Operator.identity(Group(4))
+        with pytest.raises(ValueError):
+            check_conv_homomorphism(T, "sampled", count=count)
+        # basis mode has no count to check
+        assert check_conv_homomorphism(T, "basis", count=count).checked == 16
+
 
 class TestCharacterResiduals:
     GROUPS = [(1,), (2,), (8,), (64,), (2, 3), (3, 2, 2), (4, 6), (5, 1, 3)]
@@ -149,6 +157,41 @@ class TestCharacterResiduals:
         if planted:
             assert rep.witness.inputs == np.unravel_index(np.argmax(naive), naive.shape)
 
+    @pytest.mark.parametrize("factors", GROUPS)
+    def test_exactly_symmetric(self, factors):
+        g = Group(factors)
+        rng = np.random.default_rng(g.order)
+        table = np.array(Operator.dft(g).table)
+        table += 1e-6 * (rng.standard_normal(table.shape) + 1j * rng.standard_normal(table.shape))
+        for rows in (table[:1], table):
+            res = character_residuals(rows, g)
+            assert np.array_equal(res, res.T)
+
+    def test_overflowing_entry_gives_symmetric_nan(self):
+        g = Group(8)
+        table = np.array(Operator.dft(g).table)
+        table[2, 3] = 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = character_residuals(table, g)
+        assert np.isnan(res).any()
+        assert np.array_equal(res, res.T, equal_nan=True)
+        rep = check_conv_homomorphism(Operator.from_table(g, table))
+        assert not rep.passed and rep.witness is not None
+
+    @pytest.mark.parametrize("M", [128, 512])
+    def test_single_row_in_several_blocks(self, M):
+        rng = np.random.default_rng(M)
+        h = np.exp(2j * np.pi * 5 * np.arange(M) / M)
+        h[rng.integers(M, size=3)] *= 1.01
+        naive = naive_character_residuals(h[None], Group(M))
+        res = character_residuals(h[None], Group(M))
+        assert np.max(np.abs(res - naive)) <= 1e-15
+        assert np.array_equal(res, res.T)
+        rep = check_character_equation(h)
+        assert rep.max_residual == pytest.approx(naive.max(), abs=1e-15)
+        i, j = rep.witness.inputs
+        assert i <= j and res[i, j] == rep.max_residual
+
     def test_basis_check_memory_is_quadratic(self):
         T = Operator.dft(Group(128))
         tracemalloc.start()
@@ -185,6 +228,18 @@ class TestExchangeAxiomsCheck:
         lhs = apply(plus1, convolve(z, z)).values
         rhs = convolve(apply(plus1, z), apply(plus1, z)).values
         assert rel_residual(lhs, rhs) > 1e-2
+
+    def test_zero_count_still_checks_structured_pairs(self):
+        g = Group(5)
+        plus1 = Operator.from_function(
+            g, lambda a: Signal(g, a.values + np.ones(5)))
+        rep = check_exchange_axioms(plus1, count=0)
+        # four constants and four point masses
+        assert rep.checked == 8 and not rep.passed
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            check_exchange_axioms(Operator.identity(Group(5)), count=-1)
 
 
 class TestCompose:
