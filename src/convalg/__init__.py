@@ -19,7 +19,7 @@ from .torus import (KernelFamily, TorusClassification, TorusGrid,
                     extract_kernels, fourier_coefficient_operator,
                     recover_frequency)
 from .twisted import (OperatorKernel, PhaseSpaceFunction, PlaneGrid,
-                      compose_kernels, gaussian_pair, rho_kernel, rho_point,
+                      compose_kernels, gaussian_pair, rho_kernel,
                       twisted_convolve, verify_rho_homomorphism)
 
 __version__ = "0.1.0"

@@ -79,8 +79,7 @@ def _run_command(cfg: RunConfig) -> tuple[dict, bool]:
         if not cfg.input:
             raise SchemaError("classify-torus needs --input", "$")
         family = jsonio.kernel_family_from_json(jsonio.load(cfg.input))
-        table = torus.build_operator(family)
-        cls = torus.classify_torus_operator(table, family.grid, cfg.tol)
+        cls = torus.classify_torus_operator(family, cfg.tol)
         return jsonio.torus_classification_to_json(cls), True
 
     if cfg.command == "verify-twisted":

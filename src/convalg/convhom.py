@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AxiomViolation, NotRootOfUnity, RowNotHomomorphic
-from .groups import SNAP_FLOOR, Group, snap_root, unit_roots
+from .groups import SNAP_FLOOR, Group, nearest_characters, unit_roots
 from .operators import DEFAULT_TOL, Operator, check_conv_homomorphism, rel_residual
 
 
@@ -37,8 +37,8 @@ def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
     """Recover (support, sigma) from a dense operator passing the basis check.
 
     Per row eta: the value at the identity column snaps to 0 (whole row must
-    vanish; eta excluded) or to 1 (the generator value z = T(delta_1)(eta)
-    must be an n-th root of unity and the row must follow z^k exactly).
+    vanish; eta excluded) or to 1 (the row must lie within SNAP_FLOOR * tol,
+    in sup distance, of its nearest character k -> e^{-2i pi k sigma / n}).
     Raises RowNotHomomorphic / NotRootOfUnity on rows of neither shape, and
     AxiomViolation when the basis check itself fails at tol.
     """
@@ -53,6 +53,7 @@ def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
             f"(residual {report.max_residual:.3e})", report)
     n = T.group.n
     table = T.table
+    exponents, distances = nearest_characters(table)
     support: list[int] = []
     sigma: dict[int, int] = {}
     snap_window = SNAP_FLOOR * tol
@@ -69,19 +70,10 @@ def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
             continue
         if abs(v0 - 1.0) > snap_window:
             raise RowNotHomomorphic(eta, complex(v0))
-        if n == 1:
-            support.append(eta)
-            sigma[eta] = 0
-            continue
-        z = complex(row[1])
-        root_dev = abs(z ** n - 1.0)
-        if root_dev > tol * max(n * n / np.pi, 2.0 * n + 2.0):
-            raise NotRootOfUnity(eta, z, root_dev)
-        m, dev = snap_root(z.conjugate(), n, tol)
-        if m is None:
-            raise NotRootOfUnity(eta, z, dev)
+        if distances[eta] > snap_window:
+            raise NotRootOfUnity(eta, complex(row[1 % n]), float(distances[eta]))
         support.append(eta)
-        sigma[eta] = m
+        sigma[eta] = int(-exponents[eta]) % n
     residual = rel_residual(table, construct(T.group, support, sigma).table)
     return ConvClassification(n, tuple(support), dict(sigma), residual)
 

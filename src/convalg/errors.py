@@ -60,8 +60,8 @@ class RowNotHomomorphic(ClassificationError):
 class NotRootOfUnity(ClassificationError):
     def __init__(self, eta: int, z: complex, deviation: float):
         super().__init__(
-            f"row {eta}: generator value {z!r} is not an n-th root of unity "
-            f"(deviation {deviation:.3e})",
+            f"row {eta} (generator value {z!r}) is {deviation:.3e} away from "
+            f"its nearest character",
             eta=eta, z=z, deviation=deviation)
 
 
@@ -152,11 +152,11 @@ class NotUnimodular(ClassificationError):
 
 
 class SnapFailure(ClassificationError):
-    def __init__(self, estimate: float, nearest: int, deviation: float):
+    def __init__(self, nearest: int, deviation: float):
         super().__init__(
-            f"frequency estimate {estimate!r} is {deviation:.3e} away from the "
-            f"nearest integer {nearest}",
-            estimate=estimate, nearest=nearest, deviation=deviation)
+            f"kernel is {deviation:.3e} away from its nearest character, "
+            f"frequency {nearest}",
+            nearest=nearest, deviation=deviation)
 
 
 class CharacterEquationViolation(ClassificationError):

@@ -14,7 +14,8 @@ step-specific error on the first failure:
                     and gcd(sigma(1), n) = 1
   3. scalar action: beta(c) = E[T((c/n)*ones)] lies in {c, conj(c)} on a
                     probe set; beta(i) picks the conjugation branch
-  4. final sweep:   T(a)(eta*j) = a(j) (or conjugate) on seeded random signals
+  4. final sweep:   T(a) = construct_exchange(eta, conjugate)(a), that is
+                    T(a)(eta*j) = a(j) (or conjugate), on seeded random signals
 
 The crossed variant (product to convolution and back) classifies the
 composition with the inverse transform and reports the same parameters
@@ -130,11 +131,11 @@ def classify_exchange(T: Operator, tol: float = DEFAULT_TOL, *,
 
     # step 4: full-signal sweep of the recovered form
     rng = np.random.default_rng(seed)
-    perm = (eta * np.arange(n)) % n
+    canonical = construct_exchange(group, eta, conjugate)
     for _ in range(SWEEP_SIGNALS):
         a = random_signal(group, rng)
-        lhs = apply(T, a).values[perm]
-        rhs = np.conj(a.values) if conjugate else a.values
+        lhs = apply(T, a).values
+        rhs = apply(canonical, a).values
         r = rel_residual(lhs, rhs)
         if r > tol:
             raise FinalSweepViolation(

@@ -12,8 +12,10 @@ A Signal is a complex-valued function on such a group.  The algebra:
 The inverse transform carries the 1/order factor.  Transforms are numpy.fft
 n-dimensional FFTs over the factor axes, for any moduli; convolution goes
 through the convolution theorem, f * g = idft(dft(f) . dft(g)).
-unit_roots and snap_root hold the e^{2i pi m / n} lattice that the
-classifiers build their tables from and snap recovered phases onto.
+unit_roots holds the e^{2i pi m / n} lattice that the classifiers build
+their tables from; nearest_characters recovers the exponent of sampled
+characters (the Z/n and circle-grid rows), and snap_root snaps a single
+phase onto the lattice (the intertwiner parameters).
 """
 
 from __future__ import annotations
@@ -171,6 +173,21 @@ def unit_roots(e, n: int) -> np.ndarray:
     products like k * sigma lose no accuracy.
     """
     return np.exp(2j * np.pi * (np.asarray(e) % n) / n)
+
+
+def nearest_characters(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent and sup distance of the character nearest each row.
+
+    rows is (r, n).  Row i is matched with k -> e^{2i pi m_i k / n}, where
+    m_i in [0, n) is the peak of |fft(rows[i])|: the maximum-likelihood
+    frequency of a single tone (Rife & Boorstyn 1974), exact on a character
+    at every m, n/2 included.  Returns (m, max_k |rows[i, k] - e^{2i pi m_i k / n}|).
+    """
+    rows = np.asarray(rows, dtype=np.complex128)
+    n = rows.shape[-1]
+    m = np.argmax(np.abs(np.fft.fft(rows, axis=-1)), axis=-1)
+    dist = np.max(np.abs(rows - unit_roots(m[:, None] * np.arange(n), n)), axis=-1)
+    return m, dist
 
 
 def snap_root(z: complex, n: int, tol: float) -> tuple[Optional[int], float]:

@@ -14,7 +14,9 @@ reports the support and the frequency map phi with
 
     (T f)(xi) = chi_E(xi) fhat(phi(xi)),   fhat(nu) = (1/M) sum_i f_i e^{-2i pi nu i / M},
 
-so phi(xi) = -a_xi for the recovered character exponent a_xi.
+so phi(xi) = -a_xi for the character exponent a_xi in (-M/2, M/2], read
+off the periodogram peak of the kernel; the Nyquist character e^{i pi M x}
+gets a = +M/2, hence phi = -M/2.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (CharacterEquationViolation, NotUnimodular, SnapFailure)
-from .groups import SNAP_FLOOR, Group, unit_roots
+from .groups import SNAP_FLOOR, Group, nearest_characters, unit_roots
 from .operators import (DEFAULT_TOL, AxiomReport, Witness, character_residuals,
                         rel_residual)
 
@@ -83,11 +85,6 @@ def extract_kernels(table: np.ndarray, grid: TorusGrid) -> KernelFamily:
     return KernelFamily(grid, N, table / grid.weight)
 
 
-def build_operator(family: KernelFamily) -> np.ndarray:
-    """Dense table whose application equals quadrature against the kernels."""
-    return family.kernels * family.grid.weight
-
-
 def fourier_coefficient_operator(grid: TorusGrid, N: int) -> np.ndarray:
     """The map f -> (fhat(xi))_{xi=-N..N} as a dense table."""
     xi = np.arange(-N, N + 1)[:, None]
@@ -113,49 +110,23 @@ def check_character_equation(h: np.ndarray, tol: float = DEFAULT_TOL) -> AxiomRe
     return AxiomReport(False, worst, tol, witness=wit, checked=M * M)
 
 
-def recover_frequency(h: np.ndarray, tol: float = DEFAULT_TOL, *,
-                      snap: bool = True) -> int | float:
-    """Frequency a of a sampled character h ~ e^{2i pi a x}.
+def recover_frequency(h: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """Frequency a in (-M/2, M/2] of a sampled character h ~ e^{2i pi a x}.
 
-    Smooths by cumulative sums over a lag window, fits the unwrapped phase
-    of the summed segments by least squares, and snaps the slope to the
-    nearest integer (circle characters have integer frequency); the input
-    is then re-verified against the snapped character within tol.
-
-    The caller is responsible for h having passed the character equation.
-    With snap=False the raw least-squares estimate is returned un-snapped
-    and unverified (the real-line variant, with no lattice to snap to).
+    h must be unimodular within tol, and within tol in sup distance of the
+    character at its periodogram peak (groups.nearest_characters).  The
+    Nyquist character e^{i pi M x} gets a = +M/2.  The caller is responsible
+    for h having passed the character equation.
     """
     h = np.asarray(h, dtype=np.complex128)
     M = h.shape[0]
     sup = float(np.max(np.abs(h)))
     if abs(sup - 1.0) > tol:
         raise NotUnimodular(sup)
-    # circular segment sums at a safe lag: of the candidates, a lag whose
-    # geometric factor vanishes (M | a * lag) would null the segments, so
-    # keep whichever lag leaves them largest; lag 1 is always safe.
-    tiled = np.concatenate([h, h])
-    csum = np.concatenate([[0.0], np.cumsum(tiled)])
-    lags = [max(1, M // 8), max(1, M // 8) + 1, 1]
-    best = None
-    for lag in dict.fromkeys(lags):
-        g = csum[lag:lag + M] - csum[:M]
-        floor = float(np.min(np.abs(g)))
-        if best is None or floor > best[0]:
-            best = (floor, g)
-    g = best[1]
-    theta = np.unwrap(np.angle(g))
-    k = np.arange(M)
-    slope = np.polyfit(k, theta, 1)[0]
-    estimate = slope * M / (2.0 * np.pi)
-    if not snap:
-        return float(estimate)
-    a = int(round(estimate))
-    if abs(estimate - a) > 0.25:
-        raise SnapFailure(float(estimate), a, float(abs(estimate - a)))
-    dev = float(np.max(np.abs(h - unit_roots(a * np.arange(M), M))))
-    if dev > tol:
-        raise SnapFailure(float(estimate), a, dev)
+    (m,), (dist,) = nearest_characters(h[None])
+    a = int(m) - M if m > M // 2 else int(m)
+    if dist > tol:
+        raise SnapFailure(a, float(dist))
     return a
 
 
@@ -169,9 +140,9 @@ class TorusClassification:
     residual: float
 
 
-def classify_torus_operator(table: np.ndarray, grid: TorusGrid,
+def classify_torus_operator(family: KernelFamily,
                             tol: float = DEFAULT_TOL) -> TorusClassification:
-    """Classify a dense table as (T f)(xi) = chi_E(xi) fhat(phi(xi)).
+    """Classify the kernels of (T f)(xi) = chi_E(xi) fhat(phi(xi)).
 
     Per frequency: a kernel below tol in sup norm leaves the support; any
     other kernel must satisfy the character equation (else the violation is
@@ -179,7 +150,6 @@ def classify_torus_operator(table: np.ndarray, grid: TorusGrid,
     whose unimodularity and snap gates carry the SNAP_FLOOR * tol floor.
     The residual is the distance from the kernels to the canonical ones.
     """
-    family = extract_kernels(table, grid)
     support: list[int] = []
     freq_map: dict[int, int] = {}
     canonical = np.zeros_like(family.kernels)
@@ -197,7 +167,7 @@ def classify_torus_operator(table: np.ndarray, grid: TorusGrid,
             exc.details["xi"] = xi
             raise
         support.append(xi)
-        freq_map[xi] = -int(a)
-        canonical[xi + family.N] = character(grid, a)
+        freq_map[xi] = -a
+        canonical[xi + family.N] = character(family.grid, a)
     residual = rel_residual(family.kernels, canonical)
     return TorusClassification(family.N, tuple(support), freq_map, residual)

@@ -140,19 +140,6 @@ def twisted_convolve(f: PhaseSpaceFunction, g: PhaseSpaceFunction) -> PhaseSpace
     return PhaseSpaceFunction(grid, h * h * out)
 
 
-def rho_point(p: float, q: float, phi: np.ndarray, grid: PlaneGrid) -> np.ndarray:
-    """rho(p, q) phi = e^{2i pi q x + i pi p q} phi(x + p), zero-filled shift."""
-    phi = np.asarray(phi, dtype=np.complex128)
-    if phi.shape != (grid.side,):
-        raise ValueError(f"expected {grid.side} samples, got {phi.shape}")
-    m = grid.lattice_index(p)
-    out = np.zeros_like(phi)
-    src = np.arange(grid.side) + m
-    ok = (src >= 0) & (src < grid.side)
-    out[ok] = phi[src[ok]]
-    return np.exp(2j * np.pi * q * grid.axis + 1j * np.pi * p * q) * out
-
-
 def rho_kernel(f: PhaseSpaceFunction) -> OperatorKernel:
     """K_f(x, y) = h sum_q f(y - x, q) e^{i pi q (x + y)}, zero off-window.
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from convalg import Group, Operator, Signal
+from convalg import Group, Operator, PlaneGrid, Signal
 from convalg.operators import DEFAULT_TOL, AxiomReport, check_identities
 
 
@@ -131,3 +131,18 @@ def check_intertwining(T: Operator, phi: PhaseFunction,
             yield ("T M_k^(psi) = tau_k T", (k,),
                    D * psi.factors(k)[None, :], np.roll(D, -k, axis=0))
     return check_identities(cases(), tol)
+
+
+# -- the phase-space kernel's oracle: rho at one lattice point -----------------
+
+def rho_point(p: float, q: float, phi: np.ndarray, grid: PlaneGrid) -> np.ndarray:
+    """rho(p, q) phi = e^{2i pi q x + i pi p q} phi(x + p), zero-filled shift."""
+    phi = np.asarray(phi, dtype=np.complex128)
+    if phi.shape != (grid.side,):
+        raise ValueError(f"expected {grid.side} samples, got {phi.shape}")
+    m = grid.lattice_index(p)
+    out = np.zeros_like(phi)
+    src = np.arange(grid.side) + m
+    ok = (src >= 0) & (src < grid.side)
+    out[ok] = phi[src[ok]]
+    return np.exp(2j * np.pi * q * grid.axis + 1j * np.pi * p * q) * out

@@ -162,6 +162,18 @@ class TestClassifyTorus:
         assert rep["result"]["support"] == list(range(-8, 9))
         assert rep["result"]["freq_map"] == [[xi, xi] for xi in range(-8, 9)]
 
+    @pytest.mark.parametrize("M", [2, 8, 16, 64, 256])
+    def test_nyquist_kernel_classifies(self, tmp_path, M):
+        # the kernel e^{i pi M x} alternates +1, -1: a = M/2, freq_map -M/2
+        x = np.arange(M) / M
+        kernel = np.exp(1j * np.pi * M * x)
+        family = {"schema": 1, "M": M, "N": 0,
+                  "kernels": [[0, [[v.real, v.imag] for v in kernel]]]}
+        path, out = tmp_path / "family.json", tmp_path / "rep.json"
+        path.write_text(json.dumps(family))
+        assert run(["classify-torus", "--input", str(path), "--output", str(out)]) == 0
+        assert read(out)["result"]["freq_map"] == [[0, -M // 2]]
+
 
 class TestVerifyTwisted:
     def test_bundled_gaussian_fixture(self, tmp_path):

@@ -7,7 +7,7 @@ from convalg import (TorusGrid, check_character_equation,
                      rel_residual)
 from convalg.errors import (CharacterEquationViolation, NotUnimodular,
                             SnapFailure)
-from convalg.torus import KernelFamily, build_operator, character
+from convalg.torus import KernelFamily, character
 
 
 def noisy_character(grid, a, amplitude, seed):
@@ -28,15 +28,6 @@ class TestKernelExtraction:
         grid = TorusGrid(16)
         fam = extract_kernels(np.zeros((5, 16)), grid)
         assert np.array_equal(fam.kernels, np.zeros((5, 16)))
-
-    def test_family_roundtrip(self):
-        # build an operator from kernels by quadrature, re-extract exactly
-        grid = TorusGrid(64)
-        rng = np.random.default_rng(0)
-        rows = rng.normal(size=(7, 64)) + 1j * rng.normal(size=(7, 64))
-        fam = KernelFamily(grid, 3, rows)
-        back = extract_kernels(build_operator(fam), grid)
-        assert np.allclose(back.kernels, rows, atol=1e-14)
 
     def test_dimension_mismatch(self):
         grid = TorusGrid(16)
@@ -103,7 +94,6 @@ class TestRecoverFrequency:
             assert recover_frequency(h, 1e-2) == a
 
     def test_lag_degeneracy_handled(self):
-        # M | a * (M//8) nulls the default segment sums; fallback lag works
         grid = TorusGrid(256)
         assert recover_frequency(character(grid, 8)) == 8
 
@@ -118,17 +108,12 @@ class TestRecoverFrequency:
         with pytest.raises(SnapFailure):
             recover_frequency(h)
 
-    def test_unsnapped_estimate(self):
-        grid = TorusGrid(128)
-        est = recover_frequency(character(grid, 5), snap=False)
-        assert isinstance(est, float)
-        assert est == pytest.approx(5, abs=1e-6)
-
 
 class TestClassify:
     def test_coefficient_map_full_support_identity(self):
         grid = TorusGrid(64)
-        cls = classify_torus_operator(fourier_coefficient_operator(grid, 8), grid)
+        cls = classify_torus_operator(
+            extract_kernels(fourier_coefficient_operator(grid, 8), grid))
         assert cls.support == tuple(range(-8, 9))
         assert cls.freq_map == {xi: xi for xi in range(-8, 9)}
         assert cls.residual <= 1e-10
@@ -137,15 +122,28 @@ class TestClassify:
         grid = TorusGrid(64)
         T = np.array(fourier_coefficient_operator(grid, 8))
         T[:8] = 0.0
-        cls = classify_torus_operator(T, grid)
+        cls = classify_torus_operator(extract_kernels(T, grid))
         assert cls.support == tuple(range(0, 9))
         assert all(cls.freq_map[xi] == xi for xi in range(0, 9))
+
+    @pytest.mark.parametrize("M", range(2, 65))
+    def test_every_exponent_including_nyquist(self, M):
+        # one kernel per a in (-M/2, M/2]; with M even, the last row is zero
+        grid = TorusGrid(M)
+        N = M // 2
+        planted = range(-((M - 1) // 2), M // 2 + 1)
+        rows = np.zeros((2 * N + 1, M), dtype=complex)
+        for r, a in enumerate(planted):
+            rows[r] = character(grid, a)
+        cls = classify_torus_operator(KernelFamily(grid, N, rows))
+        assert cls.support == tuple(r - N for r in range(M))
+        for r, a in enumerate(planted):
+            assert cls.freq_map[r - N] == -a
 
     def test_frequency_flip(self):
         grid = TorusGrid(64)
         rows = np.stack([character(grid, xi) for xi in range(-8, 9)])
-        cls = classify_torus_operator(build_operator(KernelFamily(grid, 8, rows)),
-                                      grid)
+        cls = classify_torus_operator(KernelFamily(grid, 8, rows))
         assert cls.freq_map == {xi: -xi for xi in range(-8, 9)}
 
     def test_character_violation_carries_frequency(self):
@@ -153,7 +151,7 @@ class TestClassify:
         T = np.array(fourier_coefficient_operator(grid, 2))
         T[3] = (1 + grid.points) * grid.weight
         with pytest.raises(CharacterEquationViolation) as exc:
-            classify_torus_operator(T, grid)
+            classify_torus_operator(extract_kernels(T, grid))
         assert exc.value.xi == 1
 
     def test_residual_is_distance_to_rebuilt_characters(self):
@@ -161,7 +159,7 @@ class TestClassify:
         T = np.array(fourier_coefficient_operator(grid, 5))
         T[2] = 0.0
         T += 1e-12 * np.random.default_rng(0).normal(size=T.shape) * grid.weight
-        cls = classify_torus_operator(T, grid)
+        cls = classify_torus_operator(extract_kernels(T, grid))
         canonical = np.zeros_like(T)
         for xi in cls.support:
             canonical[xi + 5] = character(grid, -cls.freq_map[xi])
@@ -172,7 +170,7 @@ class TestClassify:
         grid = TorusGrid(64)
         T = np.array(fourier_coefficient_operator(grid, 5))
         T[2] = 0.0
-        cls = classify_torus_operator(T, grid)
+        cls = classify_torus_operator(extract_kernels(T, grid))
         fam = extract_kernels(T, grid)
         for xi in fam.frequencies:
             h = fam.kernel(xi)
@@ -191,7 +189,7 @@ class TestPassImpliesClassifies:
         passed = 0
         for amplitude in np.logspace(-11, -8, 10):
             for _ in range(12):
-                a = int(rng.integers(-(M // 2) + 1, M // 2))
+                a = int(rng.integers(-(M // 2) + 1, M // 2 + 1))
                 chi = character(grid, a)
                 noise = rng.normal(size=M) + 1j * rng.normal(size=M)
                 for h in (chi * (1 + amplitude * noise),
@@ -200,8 +198,7 @@ class TestPassImpliesClassifies:
                     if not check_character_equation(h, 1e-9).passed:
                         continue
                     passed += 1
-                    table = build_operator(KernelFamily(grid, 0, h[None]))
-                    cls = classify_torus_operator(table, grid, 1e-9)
+                    cls = classify_torus_operator(KernelFamily(grid, 0, h[None]), 1e-9)
                     assert cls.freq_map == {0: -a}
         assert passed >= 200
 

@@ -4,8 +4,9 @@ import pytest
 from convalg.errors import GridMismatch, OffLatticeShift
 from convalg.twisted import (OperatorKernel, PhaseSpaceFunction, PlaneGrid,
                              compose_kernels, gaussian_pair, relative_l2,
-                             rho_kernel, rho_point, twisted_convolve,
+                             rho_kernel, twisted_convolve,
                              verify_rho_homomorphism)
+from helpers import rho_point
 
 
 def direct_twisted_convolve(f, g):

@@ -11,7 +11,7 @@ from convalg import (Group, Operator, TorusGrid, construct,
                      fourier_coefficient_operator)
 from convalg.jsonio import (dump, kernel_family_to_json, operator_to_json,
                             pair_to_json, SCHEMA_VERSION)
-from convalg.torus import extract_kernels
+from convalg.torus import KernelFamily, character, extract_kernels
 from convalg.twisted import PlaneGrid, gaussian_pair
 
 HERE = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -28,6 +28,12 @@ def main() -> None:
     grid = TorusGrid(64)
     fam = extract_kernels(fourier_coefficient_operator(grid, 8), grid)
     dump(kernel_family_to_json(fam), HERE / "fourier_torus_m64_n8.json")
+
+    # the Nyquist character (a = M/2), its neighbour a = -7 and a zero kernel
+    grid = TorusGrid(16)
+    rows = np.stack([character(grid, 8), character(grid, -7), np.zeros(16)])
+    dump(kernel_family_to_json(KernelFamily(grid, 1, rows)),
+         HERE / "nyquist_torus_m16_n1.json")
 
     g = gaussian_pair(PlaneGrid(4.0, 64))
     dump(pair_to_json(g, g), HERE / "gaussian_pair_s64.json")
