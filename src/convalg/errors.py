@@ -165,13 +165,3 @@ class CharacterEquationViolation(ClassificationError):
             f"kernel at frequency {xi} violates the character equation "
             f"(residual {report.max_residual:.3e})",
             xi=xi, report=report)
-
-
-# -- twisted convolution -------------------------------------------------------
-
-class OffLatticeShift(ConvalgError):
-    def __init__(self, p: float, h: float):
-        super().__init__(
-            f"shift {p!r} is not an integer multiple of the grid step {h!r}")
-        self.p = p
-        self.h = h

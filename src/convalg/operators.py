@@ -137,7 +137,6 @@ class AxiomReport:
     tol: float
     witness: Optional[Witness] = None
     checked: int = 0
-    note: str = ""
 
 
 def check_identities(cases: Iterable[tuple], tol: float) -> AxiomReport:
@@ -161,8 +160,7 @@ class Operator:
     """Transform of signals on a fixed group: dense table or black box."""
 
     def __init__(self, group: Group, *, table: Optional[np.ndarray] = None,
-                 evaluate: Optional[Callable[[Signal], Signal]] = None,
-                 linear_hint: bool = False):
+                 evaluate: Optional[Callable[[Signal], Signal]] = None):
         if (table is None) == (evaluate is None):
             raise ValueError("give exactly one of table= or evaluate=")
         self.group = group
@@ -176,7 +174,6 @@ class Operator:
             table.flags.writeable = False
         self.table = table
         self._evaluate = evaluate
-        self.linear_hint = linear_hint or table is not None
 
     @property
     def is_dense(self) -> bool:
@@ -188,9 +185,8 @@ class Operator:
         return cls(group, table=table)
 
     @classmethod
-    def from_function(cls, group: Group, fn: Callable[[Signal], Signal],
-                      linear_hint: bool = False) -> "Operator":
-        return cls(group, evaluate=fn, linear_hint=linear_hint)
+    def from_function(cls, group: Group, fn: Callable[[Signal], Signal]) -> "Operator":
+        return cls(group, evaluate=fn)
 
     @classmethod
     def identity(cls, group: Group) -> "Operator":
@@ -252,9 +248,7 @@ def compose(S: Operator, T: Operator) -> Operator:
         raise GroupMismatch("cannot compose operators on different groups")
     if S.is_dense and T.is_dense:
         return Operator.from_table(S.group, S.table @ T.table)
-    return Operator.from_function(
-        S.group, lambda a: apply(S, apply(T, a)),
-        linear_hint=S.linear_hint and T.linear_hint)
+    return Operator.from_function(S.group, lambda a: apply(S, apply(T, a)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -263,8 +257,9 @@ def check_conv_homomorphism(T: Operator, mode: str = "basis", *,
                             tol: float = DEFAULT_TOL) -> AxiomReport:
     """Check T(f * g) = T(f).T(g).
 
-    basis mode runs all n^2 point-mass pairs, which is sufficient for the
-    full identity when T is linear (both sides are bilinear in (f, g)): on
+    basis mode runs all n^2 point-mass pairs of a dense T (a black box
+    raises ValueError; to_dense() materializes a linear one), which is
+    sufficient for the full identity (both sides are bilinear in (f, g)): on
     point masses it is the character equation of every row of the table,
     and the witness is the first failing pair in row-major order.  sampled
     mode draws `count` random pairs with unit-disc entries; a count below 1
@@ -273,9 +268,10 @@ def check_conv_homomorphism(T: Operator, mode: str = "basis", *,
     group = T.group
     n = group.order
     if mode == "basis":
-        if not T.linear_hint:
-            raise ValueError("basis mode needs a dense or linear-hinted operator")
-        D = T.to_dense().table if not T.is_dense else T.table
+        if not T.is_dense:
+            raise ValueError("basis mode needs a dense operator; "
+                             "materialize a linear black box with to_dense()")
+        D = T.table
         res = character_residuals(D, group)
         worst = float(res.max())
         if worst <= tol:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, OffLatticeShift
+from .errors import GridMismatch
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,6 @@ class PlaneGrid:
     @property
     def axis(self) -> np.ndarray:
         return -self.half_width + self.step * np.arange(self.side)
-
-    def lattice_index(self, p: float) -> int:
-        """Index shift of an on-lattice translation p; OffLatticeShift otherwise."""
-        m = round(p / self.step)
-        if abs(p - m * self.step) > 1e-9 * max(1.0, abs(p)):
-            raise OffLatticeShift(p, self.step)
-        return int(m)
 
     def resolves_phases(self) -> bool:
         """Whether S is large enough to resolve all half-frequency phases."""

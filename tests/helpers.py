@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from convalg import Group, Operator, PlaneGrid, Signal
+from convalg.errors import ConvalgError
 from convalg.operators import DEFAULT_TOL, AxiomReport, check_identities
 
 
@@ -135,12 +136,28 @@ def check_intertwining(T: Operator, phi: PhaseFunction,
 
 # -- the phase-space kernel's oracle: rho at one lattice point -----------------
 
+class OffLatticeShift(ConvalgError):
+    def __init__(self, p: float, h: float):
+        super().__init__(
+            f"shift {p!r} is not an integer multiple of the grid step {h!r}")
+        self.p = p
+        self.h = h
+
+
+def lattice_index(grid: PlaneGrid, p: float) -> int:
+    """Index shift of an on-lattice translation p; OffLatticeShift otherwise."""
+    m = round(p / grid.step)
+    if abs(p - m * grid.step) > 1e-9 * max(1.0, abs(p)):
+        raise OffLatticeShift(p, grid.step)
+    return int(m)
+
+
 def rho_point(p: float, q: float, phi: np.ndarray, grid: PlaneGrid) -> np.ndarray:
     """rho(p, q) phi = e^{2i pi q x + i pi p q} phi(x + p), zero-filled shift."""
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (grid.side,):
         raise ValueError(f"expected {grid.side} samples, got {phi.shape}")
-    m = grid.lattice_index(p)
+    m = lattice_index(grid, p)
     out = np.zeros_like(phi)
     src = np.arange(grid.side) + m
     ok = (src >= 0) & (src < grid.side)

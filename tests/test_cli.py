@@ -1,9 +1,12 @@
+import argparse
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
+from convalg import cli
 from convalg.cli import run
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -226,6 +229,59 @@ class TestErrorHandling:
         assert run(["classify-conv", "--input", str(FIXTURES / "dft_n8.json"),
                     "--tol", "0"]) == 2
 
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "1e999"])
+    def test_nonfinite_tol_rejected_before_loading(self, capsys, literal):
+        # a missing input shows that nothing was loaded
+        assert run(["classify-conv", "--input", "/does/not/exist.json",
+                    f"--tol={literal}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --tol must be positive and finite\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["classify-conv", "--bogus"],
+        ["check-axioms", "--mode", "x"],
+        ["classify-conv", "--tol", "tiny"],
+        [],
+        ["classify-torus", "--seed", "4"],
+        ["verify-twisted", "--unitary"],
+        ["construct", "--tol", "1e-9"],
+    ], ids=["unknown-option", "bad-choice", "non-numeric-tol", "missing-command",
+            "torus-seed", "twisted-unitary", "construct-tol"])
+    def test_usage_error_is_one_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "rep.json"
+        if argv:
+            argv = argv + ["--input", str(FIXTURES / "dft_n8.json"), "--output", str(out)]
+        assert run(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out.exists()
+
+    # every option a command accepted and never read
+    @pytest.mark.parametrize("command, option", [
+        ("classify-conv", "--seed"), ("classify-intertwiner", "--seed"),
+        ("classify-torus", "--n"), ("classify-torus", "--seed"),
+        ("classify-torus", "--unitary"), ("verify-twisted", "--n"),
+        ("verify-twisted", "--seed"), ("verify-twisted", "--unitary"),
+        ("construct", "--tol"), ("construct", "--seed"), ("construct", "--unitary"),
+    ])
+    def test_unread_option_rejected(self, tmp_path, capsys, command, option):
+        out = tmp_path / "rep.json"
+        value = [] if option == "--unitary" else ["1"]
+        assert run([command, option, *value, "--input", str(FIXTURES / "dft_n8.json"),
+                    "--output", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == f"error: unrecognized arguments: {' '.join([option, *value])}\n"
+        assert not out.exists()
+
+    def test_help_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["classify-conv", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: convalg classify-conv")
+
     @pytest.mark.parametrize("command, fixture, literal", [
         ("check-axioms", "identity_n4.json", "NaN"),
         ("classify-torus", "fourier_torus_m64_n8.json", "Infinity"),
@@ -301,8 +357,8 @@ class TestErrorHandling:
         assert len(err.strip().splitlines()) == 1
         assert "$.N" in err or "$.kernels" in err
 
-    # sizes whose tables exceed the 128 TiB user address space of x86-64,
-    # so the allocation fails at once and touches no memory
+    # sizes whose tables exceed the 128 TiB user address space of x86-64:
+    # refused by the MAX_TABLE_BYTES cap, and an allocation would fail at once
     @pytest.mark.parametrize("argv, params", [
         (["construct"], {"schema": 1, "n": 10**7, "support": [0], "sigma": [[0, 0]]}),
         (["construct"], {"schema": 1, "n": 10**7, "k0": 1, "m0": 0, "m1": 0,
@@ -320,6 +376,29 @@ class TestErrorHandling:
         assert len(err.strip().splitlines()) == 1
         assert "allocate" in err
 
+    @pytest.mark.parametrize("command, tables, step", [
+        ("construct", 1, 1), ("verify-twisted", cli.TWISTED_TABLES, 2)])
+    def test_size_just_over_cap(self, tmp_path, capsys, monkeypatch, command, tables, step):
+        # the smallest order (even side) whose tables exceed the cap
+        side = math.isqrt(cli.MAX_TABLE_BYTES // (16 * tables)) + 1
+        side += -side % step
+        assert tables * 16 * (side - step) ** 2 <= cli.MAX_TABLE_BYTES
+        if command == "construct":
+            p = tmp_path / "params.json"
+            p.write_text(json.dumps({"schema": 1, "n": side, "support": [0],
+                                     "sigma": [[0, 0]]}))
+            argv = [command, "--input", str(p)]
+        else:
+            argv = [command, "--grid-S", str(side)]
+        # the tables start with these calls; reaching one fails the test
+        monkeypatch.setattr(np, "zeros", None)
+        monkeypatch.setattr(np, "exp", None)
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "would allocate" in err and "MAX_TABLE_BYTES" in err
+
     def test_unwritable_output(self, tmp_path, capsys):
         out = tmp_path / "missing" / "rep.json"
         assert run(["classify-conv", "--input", str(FIXTURES / "dft_n8.json"),
@@ -333,8 +412,8 @@ class TestErrorHandling:
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):
         out = tmp_path / "rep.json"
-        argv = ["classify-conv", "--input", str(FIXTURES / "dft_n8.json"),
-                "--seed", "7", "--output", str(out)]
+        argv = ["classify-exchange", "--input", str(FIXTURES / "dft_n8.json"),
+                "--variant", "fourier", "--seed", "7", "--output", str(out)]
         assert run(argv) == 0
         first = out.read_bytes()
         assert run(argv) == 0
@@ -350,6 +429,57 @@ class TestDeterminism:
         assert cfg["samples"] == 5
         assert cfg["seed"] == 11
         assert cfg["tol"] == 1e-8
+
+
+class TestParser:
+    def test_built_once_and_stateless(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        out = tmp_path / "rep.json"
+        argv = ["check-axioms", "--input", str(FIXTURES / "dft_n8.json"), "--output", str(out)]
+        assert run(argv + ["--mode", "sampled", "--samples", "4", "--seed", "5"]) == 0
+        assert read(out)["config"]["mode"] == "sampled"
+        assert run(argv) == 0
+        cfg = read(out)["config"]
+        assert (cfg["mode"], cfg["samples"], cfg["seed"]) == ("basis", 64, 0)
+        assert built == []
+
+    def test_each_command_accepts_what_it_reads(self):
+        operator = {"--input", "--output", "--tol", "--n", "--unitary"}
+        commands = cli.PARSER._subparsers._group_actions[0].choices
+        accepted = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+                    for name, p in commands.items()}
+        assert accepted == {
+            "classify-conv": operator, "classify-intertwiner": operator,
+            "check-axioms": operator | {"--seed", "--mode", "--samples"},
+            "classify-exchange": operator | {"--seed", "--variant"},
+            "classify-torus": {"--input", "--output", "--tol"},
+            "verify-twisted": {"--input", "--output", "--tol", "--grid-S", "--grid-L"},
+            "construct": {"--input", "--output", "--n"}}
+        assert sum(map(len, accepted.values())) == 36
+
+    def test_config_echoes_every_field(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert run(["classify-torus", "--input", str(FIXTURES / "fourier_torus_m64_n8.json"),
+                    "--output", str(out)]) == 0
+        assert read(out)["config"] == {
+            "command": "classify-torus", "input": str(FIXTURES / "fourier_torus_m64_n8.json"),
+            "output": str(out), "n": None, "tol": 1e-9, "seed": 0, "unitary": False,
+            "mode": "basis", "samples": 64, "variant": "direct", "grid_S": 64, "grid_L": 4.0}
+
+    @pytest.mark.parametrize("argv, tol", [
+        (["verify-twisted", "--grid-S", "32", "--grid-L", "2.5"], 5e-2),
+        (["classify-conv", "--input", str(FIXTURES / "dft_n8.json")], 1e-9),
+    ], ids=["verify-twisted", "classify-conv"])
+    def test_default_tol(self, tmp_path, argv, tol):
+        out = tmp_path / "rep.json"
+        assert run(argv + ["--output", str(out)]) == 0
+        assert read(out)["config"]["tol"] == tol
 
 
 class TestUnitaryFlag:

@@ -5,7 +5,7 @@ import pytest
 
 from convalg import (Group, Operator, Signal, apply, check_character_equation,
                      check_conv_homomorphism, check_exchange_axioms, compose,
-                     constant, delta, pointwise_mul, rel_residual)
+                     constant, delta, dft, pointwise_mul, rel_residual)
 from convalg.errors import GroupMismatch
 from convalg.operators import character_residuals
 
@@ -110,6 +110,14 @@ class TestConvHomomorphismCheck:
         with pytest.raises(ValueError):
             check_conv_homomorphism(box, "basis")
         assert check_conv_homomorphism(box, "sampled", count=4).passed is False
+
+    def test_basis_mode_needs_dense_table(self):
+        g = Group(6)
+        box = Operator.from_function(g, dft)
+        with pytest.raises(ValueError, match=r"to_dense\(\)"):
+            check_conv_homomorphism(box, "basis")
+        rep = check_conv_homomorphism(box.to_dense(), "basis")
+        assert rep.passed and rep.checked == 36
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_sampled_count_below_one_rejected(self, count):
@@ -276,8 +284,7 @@ class TestCompose:
 
     def test_to_dense_materializes_blackbox_columns(self):
         g = Group(5)
-        box = Operator.from_function(
-            g, lambda a: Signal(g, np.roll(a.values, 1)), linear_hint=True)
+        box = Operator.from_function(g, lambda a: Signal(g, np.roll(a.values, 1)))
         D = box.to_dense()
         a = disc_signal(g, np.random.default_rng(5))
         assert np.allclose(D.table @ a.values, np.roll(a.values, 1))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from convalg.errors import GridMismatch, OffLatticeShift
+from convalg.errors import GridMismatch
 from convalg.twisted import (OperatorKernel, PhaseSpaceFunction, PlaneGrid,
                              compose_kernels, gaussian_pair, relative_l2,
                              rho_kernel, twisted_convolve,
                              verify_rho_homomorphism)
-from helpers import rho_point
+from helpers import OffLatticeShift, lattice_index, rho_point
 
 
 def direct_twisted_convolve(f, g):
@@ -70,9 +70,9 @@ class TestGrid:
 
     def test_off_lattice_shift(self):
         g = PlaneGrid(4.0, 16)
-        assert g.lattice_index(1.0) == 2
+        assert lattice_index(g, 1.0) == 2
         with pytest.raises(OffLatticeShift):
-            g.lattice_index(0.3)
+            lattice_index(g, 0.3)
 
     def test_resolution_predicate(self):
         assert PlaneGrid(4.0, 64).resolves_phases()
