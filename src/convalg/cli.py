@@ -23,8 +23,10 @@ from .errors import ClassificationError, ConvalgError, SchemaError
 from .groups import Group
 from .operators import DEFAULT_TOL, Operator, check_conv_homomorphism
 
-MAX_TABLE_BYTES = 1 << 30   # the largest dense complex table a command may allocate (1 GiB)
+MAX_TABLE_BYTES = 1 << 30   # what a command may hold at its peak, in complex tables (1 GiB)
 TWISTED_TABLES = 12         # S x S tables verify-twisted holds at its peak (S = 64, 128)
+CONSTRUCT_TABLES = 29       # n x n tables construct holds at its peak: the report to
+                            # stdout, the larger sink (n = 256, 512)
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ def _construct(cfg: RunConfig):
     if cfg.n is not None and params["n"] != cfg.n:
         raise SchemaError(f"parameter n {params['n']} != --n {cfg.n}", "$.n")
     group = Group(params["n"])
-    if 16 * group.n ** 2 > MAX_TABLE_BYTES:
+    if CONSTRUCT_TABLES * 16 * group.n ** 2 > MAX_TABLE_BYTES:
         raise ValueError(f"order {group.n} would allocate more than MAX_TABLE_BYTES")
     if params["kind"] == "conv":
         T = convhom.construct(group, params["support"], params["sigma"])
@@ -196,7 +198,7 @@ def run(argv=None) -> int:
             jsonio.dump(doc, cfg.output)
         else:
             # serialized in full first, so a NaN leaves stdout empty
-            sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+            sys.stdout.write(json.dumps(doc, **jsonio.LAYOUT) + "\n")
     except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 2

@@ -81,19 +81,24 @@ def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
 def construct(group: Group, support, sigma: Mapping[int, int]) -> Operator:
     """Dense table of T(f)(eta) = chi_E(eta) fhat(sigma(eta)).
 
-    sigma must be defined exactly on the support with values in 0..n-1; it
-    need not be injective (any map gives a valid homomorphism).
+    The support lies in 0..n-1 and sigma must be defined exactly on it, with
+    values in 0..n-1; it need not be injective (any map gives a valid
+    homomorphism).  A ValueError names the first eta breaking these rules.
     """
     if not group.is_cyclic:
         raise ValueError("canonical tables are defined for a single cyclic factor")
     n = group.n
-    support = sorted(int(e) % n for e in support)
+    support = sorted(map(int, support))
+    on_support = set(support)
+    for eta in sorted(on_support | set(sigma)):
+        if not 0 <= eta < n or eta not in on_support or eta not in sigma:
+            raise ValueError(f"eta = {eta}: the support must lie in 0..{n - 1} "
+                             f"and sigma be defined exactly on it")
+        if not 0 <= int(sigma[eta]) < n:
+            raise ValueError(f"sigma({eta}) = {sigma[eta]} is out of range 0..{n - 1}")
     table = np.zeros((n, n), dtype=np.complex128)
     k = np.arange(n)
     for eta in support:
-        s = sigma[eta]
-        if not 0 <= int(s) < n:
-            raise ValueError(f"sigma({eta}) = {s} is out of range 0..{n - 1}")
-        table[eta] = unit_roots(-k * int(s), n)
+        table[eta] = unit_roots(-k * int(sigma[eta]), n)
     return Operator.from_table(group, table)
 

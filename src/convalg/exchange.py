@@ -123,7 +123,7 @@ def classify_exchange(T: Operator, tol: float = DEFAULT_TOL, *,
         if min(abs(b - c), abs(b - np.conj(c))) > tol * (1.0 + abs(c)):
             raise BetaNotIdentityOrConjugation(c, b)
         residual = max(residual, min(abs(b - c), abs(b - np.conj(c))) / (1.0 + abs(c)))
-    b_i = beta_of(T, 1j)
+    b_i = b                             # beta(i): i is the last probe
     d_id, d_conj = abs(b_i - 1j), abs(b_i + 1j)
     conjugate = d_conj < d_id
     if min(d_id, d_conj) > tol or max(d_id, d_conj) < 1.0:

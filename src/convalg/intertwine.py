@@ -38,10 +38,14 @@ class IntertwinerClassification:
 
 def construct_intertwiner(group: Group, k0: int, m0: int, m1: int,
                           c: complex) -> Operator:
-    """Table entry (row l, column j) = c e^{2i pi (l m1 - j (k0 l + m0)) / n}."""
+    """Table entry (row l, column j) = c e^{2i pi (l m1 - j (k0 l + m0)) / n}.
+
+    The table depends on k0, m0 and m1 only mod n; any integers are taken.
+    """
     if c == 0:
         raise ValueError("c must be nonzero")
     n = group.n
+    k0, m0, m1 = k0 % n, m0 % n, m1 % n
     j = np.arange(n)
     ell = np.arange(n)[:, None]
     table = c * unit_roots(ell * m1 - j[None, :] * (k0 * ell + m0), n)

@@ -1,8 +1,9 @@
 """JSON wire formats for signals, operators, classifications and reports.
 
-Complex scalars travel as [re, im] pairs.  Every top-level document carries
-"schema": 1; unknown fields are rejected so fixtures double as regression
-tests.  Loaders raise SchemaError with the offending field path.
+Complex arrays of any rank travel as nested lists ending in [re, im] pairs:
+pairs() encodes one, values_from_json() decodes one.  Every top-level
+document carries "schema": 1; unknown fields are rejected so fixtures double
+as regression tests.  Loaders raise SchemaError with the offending field path.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .torus import KernelFamily, TorusClassification, TorusGrid
 from .twisted import PhaseSpaceFunction, PlaneGrid
 
 SCHEMA_VERSION = 1
+# the report layout: dump and the CLI's stdout write every report with it
+LAYOUT = {"indent": 2, "sort_keys": True, "allow_nan": False}
 
 
 def _require_fields(obj: Mapping, required: set, path: str,
@@ -41,10 +44,6 @@ def _require_fields(obj: Mapping, required: set, path: str,
 def _check_schema(obj: Mapping, path: str) -> None:
     if obj.get("schema") != SCHEMA_VERSION:
         raise SchemaError(f"expected \"schema\": {SCHEMA_VERSION}", path)
-
-
-def complex_to_json(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
 
 
 def _is_number(x: Any) -> bool:
@@ -76,48 +75,61 @@ def complex_from_json(v: Any, path: str) -> complex:
     raise SchemaError("values must be finite (a literal overflowed)", path)
 
 
-def values_to_json(values: np.ndarray) -> list[list[float]]:
-    return [complex_to_json(z) for z in values]
+def pairs(values) -> list:
+    """A complex scalar or array as (nested lists of) [re, im] pairs."""
+    values = np.asarray(values, dtype=np.complex128)
+    return np.stack((values.real, values.imag), -1).tolist()
 
 
-def values_from_json(v: Any, path: str) -> np.ndarray:
-    if not isinstance(v, list):
-        raise SchemaError("expected a list of [re, im] pairs", path)
-    # one numpy call; a list that fails a check is walked to name the bad entry
+def values_from_json(v: Any, path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An array of `shape` from nested lists of [re, im] pairs.
+
+    One walk checks every list's type and length, one numpy call converts.
+    A document failing either goes through _decode, which names the first
+    bad list or pair.
+    """
+    items = [v]
     try:
-        if set(map(type, v)) <= {list} and set(map(len, v)) <= {2}:
-            flat = list(chain.from_iterable(v))
-            if set(map(type, flat)) <= {int, float}:    # no bool, as in _is_number
-                values = np.array(flat, np.float64).view(np.complex128)
+        for size in (*shape, 2):
+            if not (set(map(type, items)) <= {list} and set(map(len, items)) <= {size}):
+                break
+            items = list(chain.from_iterable(items))
+        else:
+            if set(map(type, items)) <= {int, float}:    # no bool, as in _is_number
+                values = np.array(items, np.float64).view(np.complex128).reshape(shape)
                 if np.isfinite(values).all():
                     return values
     except OverflowError:                   # an integer literal beyond float range
         pass
-    return np.array([complex_from_json(x, f"{path}[{i}]") for i, x in enumerate(v)])
+    return np.array(_decode(v, path, shape), np.complex128).reshape(shape)
+
+
+def _decode(v: Any, path: str, shape: tuple[int, ...]) -> Any:
+    if not shape:
+        return complex_from_json(v, path)
+    if not isinstance(v, list) or len(v) != shape[0]:
+        got = f"length {len(v)}" if isinstance(v, list) else type(v).__name__
+        raise SchemaError(f"expected a list of length {shape[0]}, got {got}", path)
+    return [_decode(x, f"{path}[{i}]", shape[1:]) for i, x in enumerate(v)]
 
 
 # -- signals and operators ----------------------------------------------------
 
 def signal_to_json(a: Signal) -> dict:
-    return {"group": list(a.group.factors), "values": values_to_json(a.values)}
+    return {"group": list(a.group.factors), "values": pairs(a.values)}
 
 
 def signal_from_json(obj: Any, path: str = "$") -> Signal:
     _require_fields(obj, {"group", "values"}, path)
     group = Group(_ints_from_json(obj["group"], f"{path}.group"))
-    values = values_from_json(obj["values"], f"{path}.values")
-    if values.shape != (group.order,):
-        raise SchemaError(
-            f"values length {values.shape[0]} != group order {group.order}",
-            f"{path}.values")
-    return Signal(group, values)
+    return Signal(group, values_from_json(obj["values"], f"{path}.values", (group.order,)))
 
 
 def operator_to_json(T: Operator) -> dict:
     table = T.to_dense().table
     return {"schema": SCHEMA_VERSION,
             "group": list(T.group.factors),
-            "columns": [values_to_json(table[:, k]) for k in range(table.shape[1])]}
+            "columns": pairs(table.T)}
 
 
 def operator_from_json(obj: Any, path: str = "$") -> Operator:
@@ -125,17 +137,8 @@ def operator_from_json(obj: Any, path: str = "$") -> Operator:
     _check_schema(obj, path)
     group = Group(_ints_from_json(obj["group"], f"{path}.group"))
     n = group.order
-    cols = obj["columns"]
-    if not isinstance(cols, list) or len(cols) != n:
-        raise SchemaError(f"expected {n} columns", f"{path}.columns")
-    table = np.empty((n, n), dtype=np.complex128)
-    for k, col in enumerate(cols):
-        v = values_from_json(col, f"{path}.columns[{k}]")
-        if v.shape != (n,):
-            raise SchemaError(f"column length {v.shape[0]} != {n}",
-                              f"{path}.columns[{k}]")
-        table[:, k] = v
-    return Operator.from_table(group, table)
+    columns = values_from_json(obj["columns"], f"{path}.columns", (n, n))
+    return Operator.from_table(group, columns.T)
 
 
 # -- reports and classifications -----------------------------------------------
@@ -149,7 +152,7 @@ def report_value_to_json(x: Any) -> Any:
     if isinstance(x, Signal):
         return signal_to_json(x)
     if isinstance(x, (complex, np.complexfloating)):
-        return complex_to_json(complex(x))
+        return pairs(x)
     if isinstance(x, (str, int, float)) or x is None:     # bool is an int
         return x
     return str(x)
@@ -158,8 +161,8 @@ def report_value_to_json(x: Any) -> Any:
 def witness_to_json(w: Witness) -> dict:
     return {"identity": w.identity,
             "inputs": [report_value_to_json(x) for x in w.inputs],
-            "lhs": values_to_json(np.atleast_1d(w.lhs)),
-            "rhs": values_to_json(np.atleast_1d(w.rhs)),
+            "lhs": pairs(np.atleast_1d(w.lhs)),
+            "rhs": pairs(np.atleast_1d(w.rhs)),
             "residual": w.residual}
 
 
@@ -184,7 +187,7 @@ def exchange_classification_to_json(c: ExchangeClassification) -> dict:
 
 def intertwiner_classification_to_json(c: IntertwinerClassification) -> dict:
     return {"k0": c.k0, "m0": c.m0, "m1": c.m1,
-            "c": complex_to_json(c.c), "residual": c.residual}
+            "c": pairs(c.c), "residual": c.residual}
 
 
 def torus_classification_to_json(c: TorusClassification) -> dict:
@@ -197,8 +200,7 @@ def torus_classification_to_json(c: TorusClassification) -> dict:
 
 def kernel_family_to_json(fam: KernelFamily) -> dict:
     return {"schema": SCHEMA_VERSION, "M": fam.grid.M, "N": fam.N,
-            "kernels": [[xi, values_to_json(fam.kernel(xi))]
-                        for xi in fam.frequencies]}
+            "kernels": list(map(list, zip(fam.frequencies, pairs(fam.kernels))))}
 
 
 def kernel_family_from_json(obj: Any, path: str = "$") -> KernelFamily:
@@ -219,17 +221,14 @@ def kernel_family_from_json(obj: Any, path: str = "$") -> KernelFamily:
         xi = _int_from_json(entry[0], f"{p}[0]")
         if not -N <= xi <= N or rows[xi + N] is not None:
             raise SchemaError(f"frequency {xi} out of window or repeated", p)
-        v = values_from_json(entry[1], f"{p}[1]")
-        if v.shape != (grid.M,):
-            raise SchemaError(f"kernel length {v.shape[0]} != M = {grid.M}", p)
-        rows[xi + N] = v
+        rows[xi + N] = values_from_json(entry[1], f"{p}[1]", (grid.M,))
     return KernelFamily(grid, N, np.stack(rows))
 
 
 def phase_space_to_json(f: PhaseSpaceFunction) -> dict:
     return {"schema": SCHEMA_VERSION,
             "L": f.grid.half_width, "S": f.grid.side,
-            "values": [values_to_json(row) for row in f.values]}
+            "values": pairs(f.values)}
 
 
 def phase_space_from_json(obj: Any, path: str = "$") -> PhaseSpaceFunction:
@@ -242,12 +241,8 @@ def phase_space_from_json(obj: Any, path: str = "$") -> PhaseSpaceFunction:
     except OverflowError:
         raise SchemaError("must be finite (a literal overflowed)", f"{path}.L") from None
     grid = PlaneGrid(L, _int_from_json(obj["S"], f"{path}.S"))
-    rows = obj["values"]
-    if not isinstance(rows, list) or len(rows) != grid.side:
-        raise SchemaError(f"expected {grid.side} rows", f"{path}.values")
-    table = np.stack([values_from_json(r, f"{path}.values[{i}]")
-                      for i, r in enumerate(rows)])
-    return PhaseSpaceFunction(grid, table)
+    return PhaseSpaceFunction(
+        grid, values_from_json(obj["values"], f"{path}.values", (grid.side, grid.side)))
 
 
 def pair_to_json(f: PhaseSpaceFunction, g: PhaseSpaceFunction) -> dict:
@@ -259,6 +254,8 @@ def pair_to_json(f: PhaseSpaceFunction, g: PhaseSpaceFunction) -> dict:
 def pair_from_json(obj: Any, path: str = "$") -> tuple[PhaseSpaceFunction, PhaseSpaceFunction]:
     _require_fields(obj, {"schema", "f", "g"}, path)
     _check_schema(obj, path)
+    for key in ("f", "g"):
+        _require_fields(obj[key], {"L", "S", "values"}, f"{path}.{key}")
     f = phase_space_from_json({**obj["f"], "schema": SCHEMA_VERSION}, f"{path}.f")
     g = phase_space_from_json({**obj["g"], "schema": SCHEMA_VERSION}, f"{path}.g")
     return f, g
@@ -284,7 +281,10 @@ def construct_params_from_json(obj: Any, path: str = "$") -> dict:
             p = f"{path}.sigma[{i}]"
             if not isinstance(entry, list) or len(entry) != 2:
                 raise SchemaError("sigma entries are [eta, sigma(eta)] pairs", p)
-            sigma[_int_from_json(entry[0], f"{p}[0]")] = _int_from_json(entry[1], f"{p}[1]")
+            eta = _int_from_json(entry[0], f"{p}[0]")
+            if eta in sigma:
+                raise SchemaError(f"sigma({eta}) is given twice", p)
+            sigma[eta] = _int_from_json(entry[1], f"{p}[1]")
         return {"kind": "conv", "n": _int_from_json(obj["n"], f"{path}.n"),
                 "support": _ints_from_json(obj["support"], f"{path}.support"),
                 "sigma": sigma}
@@ -303,7 +303,7 @@ def dump(obj: dict, path: str) -> None:
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
+            json.dump(obj, fh, **LAYOUT)
             fh.write("\n")
         os.replace(tmp, path)
     finally:

@@ -172,6 +172,7 @@ def relative_l2(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.linalg.norm(A - B)) / scale
 
 
+@np.errstate(over="ignore", invalid="ignore")    # an overflow fails as a non-finite table
 def verify_rho_homomorphism(f: PhaseSpaceFunction,
                             g: PhaseSpaceFunction) -> RhoHomReport:
     """Relative L2 distance between the kernels of rho(f # g) and rho(f) rho(g)."""

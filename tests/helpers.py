@@ -2,10 +2,13 @@
 
 These stay deliberately naive (explicit Python loops over the definitions)
 so that library results are checked against a second, unrelated route.
+The module also holds the fixture edits that once crashed the CLI.
 """
 
 from __future__ import annotations
 
+import json
+import pathlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,3 +166,29 @@ def rho_point(p: float, q: float, phi: np.ndarray, grid: PlaneGrid) -> np.ndarra
     ok = (src >= 0) & (src < grid.side)
     out[ok] = phi[src[ok]]
     return np.exp(2j * np.pi * q * grid.axis + 1j * np.pi * p * q) * out
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+# fixture edits that once ended in a traceback or warnings: the command that
+# reads the fixture, the fixture, and (keys, new value) per edit
+CRASH_CASES = {
+    "sigma-missing": ("construct", "conv_params_n6.json", [(("sigma",), [[3, 2]])]),
+    "support-over-n": ("construct", "conv_params_n6.json",
+                       [(("n",), 8), (("support",), [9]), (("sigma",), [[9, 2]])]),
+    "huge-m1": ("construct", "intertwiner_params_n8.json", [(("m1",), 2 ** 70)]),
+    "f-not-object": ("verify-twisted", "gaussian_pair_s64.json", [(("f",), [1])]),
+    "entry-1e308": ("verify-twisted", "gaussian_pair_s64.json",
+                    [(("f", "values", 10, 20), [1e308, 0.0])]),
+}
+
+
+def edited_fixture(name: str, edits) -> dict:
+    """The fixture document with each (keys, value) edit applied."""
+    doc = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+    for keys, value in edits:
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+    return doc

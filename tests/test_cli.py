@@ -8,6 +8,10 @@ import pytest
 
 from convalg import cli
 from convalg.cli import run
+from convalg.groups import Group
+from convalg.intertwine import construct_intertwiner
+
+from helpers import CRASH_CASES, edited_fixture
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -377,7 +381,7 @@ class TestErrorHandling:
         assert "allocate" in err
 
     @pytest.mark.parametrize("command, tables, step", [
-        ("construct", 1, 1), ("verify-twisted", cli.TWISTED_TABLES, 2)])
+        ("construct", cli.CONSTRUCT_TABLES, 1), ("verify-twisted", cli.TWISTED_TABLES, 2)])
     def test_size_just_over_cap(self, tmp_path, capsys, monkeypatch, command, tables, step):
         # the smallest order (even side) whose tables exceed the cap
         side = math.isqrt(cli.MAX_TABLE_BYTES // (16 * tables)) + 1
@@ -409,6 +413,48 @@ class TestErrorHandling:
         assert not out.parent.exists()
 
 
+class TestBoundaryCrashes:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", [c for c in CRASH_CASES if c != "huge-m1"])
+    def test_one_line_exit_2(self, tmp_path, capsys, case):
+        command, fixture, edits = CRASH_CASES[case]
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(edited_fixture(fixture, edits)))
+        assert run([command, "--input", str(p), "--output", str(tmp_path / "rep.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert [f.name for f in tmp_path.iterdir()] == ["doc.json"]
+
+    @pytest.mark.parametrize("value", [[1], 7, False, "x"])
+    def test_pair_member_not_an_object(self, tmp_path, capsys, value):
+        p = tmp_path / "pair.json"
+        p.write_text(json.dumps(edited_fixture("gaussian_pair_s64.json", [(("g",), value)])))
+        assert run(["verify-twisted", "--input", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: $.g: expected an object, got ")
+        assert len(err.splitlines()) == 1
+
+    def test_repeated_sigma_entry(self, tmp_path, capsys):
+        p = tmp_path / "params.json"
+        p.write_text(json.dumps(edited_fixture(
+            "conv_params_n6.json", [(("sigma",), [[0, 2], [3, 2], [3, 4]])])))
+        assert run(["construct", "--input", str(p)]) == 2
+        assert capsys.readouterr().err == "error: $.sigma[2]: sigma(3) is given twice\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_intertwiner_parameters_reduced(self, tmp_path):
+        command, fixture, edits = CRASH_CASES["huge-m1"]
+        p = tmp_path / "params.json"
+        p.write_text(json.dumps(edited_fixture(fixture, edits)))
+        assert run([command, "--input", str(p), "--output", str(tmp_path / "op.json")]) == 0
+        op = read(tmp_path / "op.json")
+        table = np.array(op["columns"]).view(np.complex128)[..., 0].T
+        want = construct_intertwiner(Group(8), 3, 2, 2 ** 70 % 8, 2 - 1j).table
+        assert np.array_equal(table, want)
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -418,6 +464,14 @@ class TestDeterminism:
         first = out.read_bytes()
         assert run(argv) == 0
         assert out.read_bytes() == first
+
+    def test_stdout_report_matches_file(self, tmp_path, capsys):
+        # construct's report carries no config, so both sinks write the same bytes
+        out = tmp_path / "op.json"
+        argv = ["construct", "--input", str(FIXTURES / "intertwiner_params_n8.json")]
+        assert run(argv + ["--output", str(out)]) == 0
+        assert run(argv) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
     def test_config_embedded_verbatim(self, tmp_path):
         out = tmp_path / "rep.json"

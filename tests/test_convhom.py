@@ -109,6 +109,16 @@ class TestConstruct:
         with pytest.raises(ValueError):
             construct(Group(4), [1], {1: 7})
 
+    @pytest.mark.parametrize("n, support, sigma, eta", [
+        (6, [0, 3], {3: 2}, 0),             # sigma missing on the support
+        (6, [0], {0: 2, 4: 1}, 4),          # sigma given off the support
+        (8, [9], {9: 2}, 9),                # support out of range
+        (8, [-1], {-1: 2}, -1),
+    ], ids=["sigma-missing", "sigma-off-support", "support-over-n", "support-negative"])
+    def test_support_and_sigma_must_match(self, n, support, sigma, eta):
+        with pytest.raises(ValueError, match=f"^eta = {eta}: "):
+            construct(Group(n), support, sigma)
+
     def test_construct_passes_axioms_generically(self):
         rng = np.random.default_rng(0)
         for n in (2, 5, 9):

@@ -10,7 +10,7 @@ from convalg.errors import (BetaNotIdentityOrConjugation,
                             DeltaImageInconsistent, DeltaImageNotDelta,
                             EtaNotCoprime, FinalSweepViolation,
                             FixedPointViolation)
-from convalg.exchange import beta_of
+from convalg.exchange import SWEEP_SIGNALS, beta_of
 
 from helpers import disc_signal
 
@@ -161,6 +161,17 @@ BETA_SCALARS = BETA_BASE + tuple(c1 * c2 for c1 in BETA_BASE for c2 in BETA_BASE
 
 
 class TestBetaProbe:
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_each_scalar_probed_once(self, n):
+        # steps 1-4 apply T to 3 fixed points, n - 1 point masses, one
+        # constant per beta probe and SWEEP_SIGNALS random signals
+        g = Group(n)
+        canonical = construct_exchange(g, 1 if n == 12 else 2, True)
+        calls = []
+        T = Operator.from_function(g, lambda a: calls.append(a) or apply(canonical, a))
+        classify_exchange(T)
+        assert len(calls) == 3 + (n - 1) + len(BETA_BASE) + SWEEP_SIGNALS
+
     def test_beta_values_identity_branch(self):
         T = construct_exchange(Group(5), 2, False)
         for c in BETA_SCALARS:

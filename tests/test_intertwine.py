@@ -99,6 +99,14 @@ class TestConstruct:
         with pytest.raises(ValueError):
             construct_intertwiner(Group(4), 1, 0, 0, 0)
 
+    @pytest.mark.parametrize("k0, m0, m1", [
+        (3, 2, 2 ** 70), (-2 ** 80, 3 ** 50, 5), (10 ** 30, -10 ** 30, -(2 ** 64) - 3)])
+    def test_parameters_taken_mod_n(self, k0, m0, m1):
+        g = Group(8)
+        T = construct_intertwiner(g, k0, m0, m1, 2 - 1j)
+        reduced = construct_intertwiner(g, k0 % 8, m0 % 8, m1 % 8, 2 - 1j)
+        assert np.array_equal(T.table, reduced.table)
+
 
 class TestCheckIntertwining:
     def test_transform_with_affine_phases(self):

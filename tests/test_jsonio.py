@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from convalg.jsonio import (axiom_report_to_json, complex_from_json,
                             operator_from_json, operator_to_json,
                             pair_from_json, pair_to_json,
                             phase_space_from_json, phase_space_to_json,
-                            signal_from_json, signal_to_json,
+                            pairs, signal_from_json, signal_to_json,
                             torus_classification_to_json, values_from_json)
 from convalg.torus import classify_torus_operator, extract_kernels
 from convalg.twisted import PlaneGrid, gaussian_pair
@@ -64,7 +65,7 @@ class TestValues:
                  *(rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, size=40)).tolist()]
         v = json.loads(json.dumps(
             [[parts[i] for i in rng.integers(len(parts), size=2)] for _ in range(500)]))
-        got = values_from_json(v, "$")
+        got = values_from_json(v, "$", (500,))
         want = np.array([complex_from_json(x, "$") for x in v])
         assert got.dtype == np.complex128 and got.shape == (500,)
         assert got.tobytes() == want.tobytes()      # bit-identical, -0.0 included
@@ -80,8 +81,29 @@ class TestValues:
         v = [[1, 0.5]] * 8
         v[i] = bad
         with pytest.raises(SchemaError) as exc:
-            values_from_json(v, "$.values")
+            values_from_json(v, "$.values", (8,))
         assert exc.value.path == f"$.values[{i}]"
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 1, 3)])
+    def test_pairs_roundtrip_at_any_rank(self, shape):
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        doc = json.loads(json.dumps(pairs(z)))
+        assert np.asarray(doc).shape == (*shape, 2)
+        assert values_from_json(doc, "$", shape).tobytes() == z.tobytes()
+
+    @pytest.mark.parametrize("doc, path, got", [
+        ([[[1, 0]] * 3] * 2, "$", "length 2"),
+        ([[[1, 0]] * 3, [[1, 0]] * 2, [[1, 0]] * 3], "$[1]", "length 2"),
+        ([[[1, 0]] * 3, {"a": 1}, [[1, 0]] * 3], "$[1]", "dict"),
+        ([[[1, 0]] * 3, [[1, 0]] * 3, [[1, 0], [1], [1, 0]]], "$[2][1]", None),
+    ], ids=["outer-length", "inner-length", "inner-type", "short-pair"])
+    def test_shape_error_names_first_bad_list(self, doc, path, got):
+        with pytest.raises(SchemaError) as exc:
+            values_from_json(doc, "$", (3, 3))
+        assert exc.value.path == path
+        if got is not None:
+            assert str(exc.value) == f"{path}: expected a list of length 3, got {got}"
 
 
 class TestOperator:
@@ -111,6 +133,13 @@ class TestOperator:
         doc["columns"] = doc["columns"][:2]
         with pytest.raises(SchemaError):
             operator_from_json(doc)
+
+    def test_short_column_named(self):
+        doc = operator_to_json(Operator.identity(Group(3)))
+        del doc["columns"][1][2]
+        with pytest.raises(SchemaError) as exc:
+            operator_from_json(doc)
+        assert exc.value.path == "$.columns[1]"
 
 
 class TestClassifications:
@@ -167,6 +196,14 @@ class TestKernelFamily:
             kernel_family_from_json(doc)
         assert exc.value.path == "$.kernels[3][1][5]"
 
+    def test_short_kernel_named(self):
+        grid = TorusGrid(16)
+        doc = kernel_family_to_json(extract_kernels(fourier_coefficient_operator(grid, 2), grid))
+        doc["kernels"][2][1].pop()
+        with pytest.raises(SchemaError) as exc:
+            kernel_family_from_json(doc)
+        assert exc.value.path == "$.kernels[2][1]"
+
     def test_frequency_window_checked(self):
         grid = TorusGrid(16)
         fam = extract_kernels(fourier_coefficient_operator(grid, 2), grid)
@@ -198,6 +235,13 @@ class TestPhaseSpace:
         vals[3, 7] = 2.0
         doc = phase_space_to_json(PhaseSpaceFunction(grid, vals))
         assert doc["values"][3][7] == [2.0, 0.0]
+
+    def test_short_row_named(self):
+        doc = phase_space_to_json(gaussian_pair(PlaneGrid(4.0, 16)))
+        doc["values"][3].pop()
+        with pytest.raises(SchemaError) as exc:
+            phase_space_from_json(doc)
+        assert exc.value.path == "$.values[3]"
 
     def test_pair_roundtrip(self):
         grid = PlaneGrid(4.0, 16)
@@ -263,6 +307,17 @@ class TestIntegerFields:
 
 
 class TestDump:
+    def test_streams(self, tmp_path):
+        # json.dumps would hold the whole text, 1.25 MiB at n = 64; dump holds 0.05
+        doc = operator_to_json(Operator.dft(Group(64)))
+        tracemalloc.start()
+        try:
+            dump(doc, tmp_path / "op.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 18
+
     def test_failed_write_keeps_previous_file(self, tmp_path):
         p = tmp_path / "rep.json"
         dump({"a": 1}, p)
