@@ -13,7 +13,7 @@ from .intertwine import (IntertwinerClassification, classify_intertwiner,
                          construct_intertwiner)
 from .operators import (AxiomReport, Operator, Witness, apply,
                         check_conv_homomorphism, check_exchange_axioms,
-                        compose, random_signal, rel_residual)
+                        compose, rel_residual)
 from .torus import (KernelFamily, TorusClassification, TorusGrid,
                     check_character_equation, classify_torus_operator,
                     extract_kernels, fourier_coefficient_operator,

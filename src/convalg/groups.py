@@ -108,14 +108,19 @@ class Signal:
             raise ValueError(
                 f"expected {group.order} values for group {group.factors}, "
                 f"got shape {values.shape}")
-        if not np.all(np.isfinite(values.view(np.float64))):
-            raise ValueError("signal values must be finite")
-        values.flags.writeable = False
+        finite(values).flags.writeable = False
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "values", values)
 
     def __getitem__(self, k: Element) -> complex:
         return complex(self.values[self.group.index(k)])
+
+
+def finite(values: np.ndarray, what: str = "signal values") -> np.ndarray:
+    """values itself, after a ValueError if an entry is NaN or infinite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+    return values
 
 
 def _same_group(f: Signal, g: Signal) -> Group:
@@ -151,9 +156,14 @@ def pointwise_mul(f: Signal, g: Signal) -> Signal:
 def convolve(f: Signal, g: Signal) -> Signal:
     """(f * g)(x) = sum_t f(t) g(x - t), the group difference taken per factor."""
     group = _same_group(f, g)
-    fg = np.fft.fftn(f.values.reshape(group.factors)) * np.fft.fftn(
-        g.values.reshape(group.factors))
-    return Signal(group, np.fft.ifftn(fg).ravel())
+    return Signal(group, convolve_values(f.values, g.values, group))
+
+
+def convolve_values(f: np.ndarray, g: np.ndarray, group: Group) -> np.ndarray:
+    """convolve of value arrays (..., order), case by case over the leading axes."""
+    shape, axes = f.shape[:-1] + group.factors, tuple(range(-len(group.factors), 0))
+    fg = np.fft.fftn(f.reshape(shape), axes=axes) * np.fft.fftn(g.reshape(shape), axes=axes)
+    return np.fft.ifftn(fg, axes=axes).reshape(f.shape)
 
 
 def dft(f: Signal) -> Signal:

@@ -8,14 +8,22 @@ The module also holds the fixture edits that once crashed the CLI.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from convalg import Group, Operator, PlaneGrid, Signal
+from convalg import (Group, Operator, PlaneGrid, Signal, apply, constant, convolve, delta,
+                     errors, pointwise_mul, rel_residual)
 from convalg.errors import ConvalgError
-from convalg.operators import DEFAULT_TOL, AxiomReport, check_identities
+from convalg.exchange import (SWEEP_SIGNALS, ExchangeClassification, beta_of,
+                              construct_exchange)
+from convalg.operators import DEFAULT_TOL, AxiomReport, Witness, check_identities
+
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
+from report_bytes import describe  # noqa: E402
 
 
 def direct_convolve(f: Signal, g: Signal) -> np.ndarray:
@@ -73,6 +81,146 @@ def naive_character_residuals(rows: np.ndarray, group: Group) -> np.ndarray:
     return np.abs(lhs - rhs).max(axis=0) / scale
 
 
+# -- the sampled checkers, one signal and one case at a time -----------------
+# The library stacks every draw, product, convolution and residual of a check;
+# these run the same checks signal by signal through the Signal algebra, and
+# must give bit-identical outcomes.
+
+def naive_check_identities(cases, tol: float) -> AxiomReport:
+    """Measure each (identity, inputs, lhs, rhs) case by rel_residual in turn."""
+    residuals, wit = [], None
+    for identity, inputs, lhs, rhs in cases:
+        r = rel_residual(lhs, rhs)
+        residuals.append(r)
+        if wit is None and not r <= tol:
+            wit = Witness(identity, inputs, lhs, rhs, r)
+    return AxiomReport(wit is None, float(np.max(residuals, initial=0.0)), tol,
+                       witness=wit, checked=len(residuals))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def naive_sampled_check(T: Operator, count: int = 64, seed: int = 0,
+                        tol: float = DEFAULT_TOL) -> AxiomReport:
+    """check_conv_homomorphism(T, "sampled", ...), pair by pair."""
+    rng = np.random.default_rng(seed)
+
+    def cases():
+        for _ in range(count):
+            f, g = disc_signal(T.group, rng), disc_signal(T.group, rng)
+            yield ("T(f*g) = T(f).T(g)", (f, g), apply(T, convolve(f, g)).values,
+                   pointwise_mul(apply(T, f), apply(T, g)).values)
+    return naive_check_identities(cases(), tol)
+
+
+def naive_exchange_axioms(T: Operator, count: int = 64, seed: int = 0,
+                          tol: float = DEFAULT_TOL) -> AxiomReport:
+    """check_exchange_axioms, pair by pair."""
+    group = T.group
+    rng = np.random.default_rng(seed)
+    pairs = [(disc_signal(group, rng), disc_signal(group, rng)) for _ in range(count)]
+    pairs += [(constant(group, c), disc_signal(group, rng))
+              for c in (0.0, 1.0, 2.0, 0.5 + 0.25j)]
+    pairs += [(delta(group, group.element(j)), disc_signal(group, rng))
+              for j in range(min(group.order, 4))]
+
+    def cases():
+        for a, b in pairs:
+            Ta, Tb = apply(T, a), apply(T, b)
+            yield ("T(a.b) = T(a).T(b)", (a, b),
+                   apply(T, pointwise_mul(a, b)).values, pointwise_mul(Ta, Tb).values)
+            yield ("T(a*b) = T(a)*T(b)", (a, b),
+                   apply(T, convolve(a, b)).values, convolve(Ta, Tb).values)
+    return replace(naive_check_identities(cases(), tol), checked=len(pairs))
+
+
+def naive_involution(T: Operator, tol: float = DEFAULT_TOL, samples: int = 16,
+                     seed: int = 0) -> AxiomReport:
+    """check_involution_symmetry, signal by signal."""
+    rng = np.random.default_rng(seed)
+    neg = (-np.arange(T.group.order)) % T.group.order
+
+    def cases():
+        for _ in range(samples):
+            a = disc_signal(T.group, rng)
+            yield "T(T(a))(k) = a(-k)", (a,), apply(T, apply(T, a)).values, a.values[neg]
+    return naive_check_identities(cases(), tol)
+
+
+def naive_is_delta(values: np.ndarray, tol: float):
+    """Index of the single entry ~1 if the rest are ~0, else None."""
+    near_one = np.abs(values - 1.0) <= tol
+    if np.count_nonzero(near_one) != 1:
+        return None
+    m = int(np.argmax(near_one))
+    rest = np.abs(np.delete(values, m))
+    return None if rest.size and rest.max() > tol else m
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def naive_classify_exchange(T: Operator, tol: float = DEFAULT_TOL, seed: int = 0):
+    """classify_exchange, one signal at a time; a NaN residual fails."""
+    group = T.group
+    n = group.n
+    if n < 2:
+        raise ValueError("exchange classification needs n >= 2")
+    residual = 0.0
+    for name, sig in (("delta_0", delta(group, 0)), ("ones", constant(group, 1.0)),
+                      ("zeros", constant(group, 0.0))):
+        r = rel_residual(apply(T, sig).values, sig.values)
+        if not r <= tol:
+            raise errors.FixedPointViolation(name, r)
+        residual = max(residual, r)
+    sigma = np.zeros(n, dtype=int)
+    for j in range(1, n):
+        m = naive_is_delta(apply(T, delta(group, j)).values, tol)
+        if m is None:
+            raise errors.DeltaImageNotDelta(j)
+        sigma[j] = m
+    eta = int(sigma[1])
+    if math.gcd(eta, n) != 1:
+        raise errors.EtaNotCoprime(eta, n)
+    for j in range(1, n):
+        if sigma[j] != (j * eta) % n:
+            raise errors.DeltaImageInconsistent(j, int(sigma[j]), (j * eta) % n)
+    for c in (2.0, 3.0, 1.5, 1j):
+        b = beta_of(T, c)
+        if min(abs(b - c), abs(b - np.conj(c))) > tol * (1.0 + abs(c)):
+            raise errors.BetaNotIdentityOrConjugation(c, b)
+        residual = max(residual, min(abs(b - c), abs(b - np.conj(c))) / (1.0 + abs(c)))
+    d_id, d_conj = abs(b - 1j), abs(b + 1j)
+    conjugate = d_conj < d_id
+    if min(d_id, d_conj) > tol or max(d_id, d_conj) < 1.0:
+        raise errors.BetaNotIdentityOrConjugation(1j, b)
+    rng = np.random.default_rng(seed)
+    canonical = construct_exchange(group, eta, conjugate)
+    for _ in range(SWEEP_SIGNALS):
+        a = disc_signal(group, rng)
+        lhs, rhs = apply(T, a).values, apply(canonical, a).values
+        r = rel_residual(lhs, rhs)
+        if not r <= tol:
+            raise errors.FinalSweepViolation(
+                Witness("T(a)(eta j) = a(j)" + (" conjugated" if conjugate else ""),
+                        (a,), lhs, rhs, r), r)
+        residual = max(residual, r)
+    return ExchangeClassification(eta, conjugate, "direct", residual)
+
+
+def outcome(fn, *args, **kwargs) -> str:
+    """What fn(*args, **kwargs) returned or raised, exact to the bit."""
+    try:
+        return describe(fn(*args, **kwargs))
+    except (ConvalgError, ValueError) as exc:
+        return describe(exc)
+
+
+def recording(group: Group, fn, seen: list) -> Operator:
+    """Black box running fn, which appends each input's value bytes to seen."""
+    def run(a: Signal) -> Signal:
+        seen.append(a.values.tobytes())
+        return fn(a)
+    return Operator.from_function(group, run)
+
+
 # -- the intertwiner's axiom oracle: translations and modulations -------------
 
 @dataclass(frozen=True)
@@ -125,16 +273,17 @@ def check_intertwining(T: Operator, phi: PhaseFunction,
     """Verify T tau_k = M_k^(phi) T and T M_k^(psi) = tau_k T for every k."""
     D = T.to_dense().table
     n = T.group.n
-
-    def cases():
-        for k in range(n):
-            # columns of T tau_k: (T tau_k) delta_j = T delta_{j-k}
-            yield ("T tau_k = M_k^(phi) T", (k,),
-                   D[:, (np.arange(n) - k) % n], phi.factors(k)[:, None] * D)
-            # T M_k^(psi): scales column j by e^{k psi(j)}
-            yield ("T M_k^(psi) = tau_k T", (k,),
-                   D * psi.factors(k)[None, :], np.roll(D, -k, axis=0))
-    return check_identities(cases(), tol)
+    lhs, rhs = [], []
+    for k in range(n):
+        # columns of T tau_k: (T tau_k) delta_j = T delta_{j-k}
+        lhs.append(D[:, (np.arange(n) - k) % n])
+        rhs.append(phi.factors(k)[:, None] * D)
+        # T M_k^(psi): scales column j by e^{k psi(j)}
+        lhs.append(D * psi.factors(k)[None, :])
+        rhs.append(np.roll(D, -k, axis=0))
+    names = ("T tau_k = M_k^(phi) T", "T M_k^(psi) = tau_k T")
+    return check_identities(np.array(lhs), np.array(rhs), tol,
+                            lambda i: (names[i % 2], (i // 2,)))
 
 
 # -- the phase-space kernel's oracle: rho at one lattice point -----------------

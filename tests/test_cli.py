@@ -346,6 +346,21 @@ class TestErrorHandling:
             assert "cannot write the report" not in err
             assert [f.name for f in tmp_path.iterdir()] == ["big.json"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_pair_entry(self, tmp_path, capsys):
+        # 1e308 is finite, but the twisted product overflows: the error names
+        # the input as too large to check, not as non-finite
+        command, fixture, edits = CRASH_CASES["entry-1e308"]
+        p = tmp_path / "pair.json"
+        p.write_text(json.dumps(edited_fixture(fixture, edits)))
+        for output in ([], ["--output", str(tmp_path / "rep.json")]):
+            assert run([command, "--input", str(p)] + output) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (f"error: --input {p} is too large to check "
+                           "(Out of range float values are not JSON compliant: nan)\n")
+            assert [f.name for f in tmp_path.iterdir()] == ["pair.json"]
+
     @pytest.mark.parametrize("doc", [
         {"schema": 1, "M": 2_000_000_000, "N": 0},
         {"schema": 1, "M": 4, "N": 2_000_000_000, "kernels": []},

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from convalg import (Group, Signal, constant, convolve, delta, dft,
-                     expectation, idft, pointwise_mul)
+from convalg import (Group, Operator, PhaseSpaceFunction, PlaneGrid, Signal, constant,
+                     convolve, delta, dft, expectation, idft, pointwise_mul)
 from convalg.errors import GroupMismatch
 
 from helpers import direct_convolve, direct_dft, disc_signal
@@ -38,6 +38,17 @@ class TestConstruction:
             Signal(Group(2), [1.0, np.nan])
         with pytest.raises(ValueError):
             Signal(Group(2), [np.inf, 0.0])
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0),
+                                     complex(0, -np.inf), complex(-np.inf, np.nan)])
+    def test_nonfinite_part_rejected_everywhere(self, bad):
+        # complex isfinite holds only when both parts are finite
+        with pytest.raises(ValueError, match="^signal values must be finite$"):
+            Signal(Group(3), [1.0, bad, 2j])
+        with pytest.raises(ValueError, match="^operator table entries must be finite$"):
+            Operator.from_table(Group(2), [[1, 0], [bad, 1]])
+        with pytest.raises(ValueError, match="^table values must be finite$"):
+            PhaseSpaceFunction(PlaneGrid(1.0, 2), [[0, bad], [0, 0]])
 
     def test_values_immutable(self):
         a = delta(Group(4), 1)
