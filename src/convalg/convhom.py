@@ -48,9 +48,7 @@ def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
         raise ValueError("classification is defined for a single cyclic factor")
     report = check_conv_homomorphism(T, "basis", tol=tol)
     if not report.passed:
-        raise AxiomViolation(
-            f"operator is not a convolution homomorphism "
-            f"(residual {report.max_residual:.3e})", report)
+        raise AxiomViolation(report)
     n = T.group.n
     table = T.table
     exponents, distances = nearest_characters(table)
@@ -64,9 +62,8 @@ def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
             row_max = float(np.max(np.abs(row)))
             if row_max > snap_window:
                 raise RowNotHomomorphic(
-                    eta, complex(v0),
-                    f"row {eta}: vanishes at the identity column but not "
-                    f"everywhere (max {row_max:.3e})")
+                    eta, complex(v0), message=f"row {eta}: vanishes at the identity column "
+                                              f"but not everywhere (max {row_max:.3e})")
             continue
         if abs(v0 - 1.0) > snap_window:
             raise RowNotHomomorphic(eta, complex(v0))

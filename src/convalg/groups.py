@@ -166,6 +166,12 @@ def convolve_values(f: np.ndarray, g: np.ndarray, group: Group) -> np.ndarray:
     return np.fft.ifftn(fg, axes=axes).reshape(f.shape)
 
 
+def negation(group: Group) -> np.ndarray:
+    """Flat index of -x at every flat index x, the coordinates negated per factor."""
+    idx = np.arange(group.order).reshape(group.factors)
+    return np.roll(np.flip(idx), 1, axis=tuple(range(idx.ndim))).ravel()
+
+
 def dft(f: Signal) -> Signal:
     """Transform fhat(eta) = sum_k f(k) e^{-2i pi <k, eta>}."""
     return Signal(f.group, np.fft.fftn(f.values.reshape(f.group.factors)).ravel())

@@ -199,10 +199,6 @@ class Operator:
         return cls.from_table(group, np.eye(group.order))
 
     @classmethod
-    def zero(cls, group: Group) -> "Operator":
-        return cls.from_table(group, np.zeros((group.order, group.order)))
-
-    @classmethod
     def dft(cls, group: Group, *, unitary: bool = False) -> "Operator":
         """Dense form of groups.dft, scaled by 1/sqrt(order) when unitary."""
         return cls._transform(group, np.fft.fftn, "ortho" if unitary else "backward")
@@ -309,6 +305,7 @@ def check_conv_homomorphism(T: Operator, mode: str = "basis", *,
     raise ValueError(f"unknown mode {mode!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_exchange_axioms(T: Operator, *, count: int = 64, seed: int = 0,
                           tol: float = DEFAULT_TOL) -> AxiomReport:
     """Check both exchange identities T(a.b) = T(a).T(b) and T(a*b) = T(a)*T(b).

@@ -137,7 +137,8 @@ def naive_involution(T: Operator, tol: float = DEFAULT_TOL, samples: int = 16,
                      seed: int = 0) -> AxiomReport:
     """check_involution_symmetry, signal by signal."""
     rng = np.random.default_rng(seed)
-    neg = (-np.arange(T.group.order)) % T.group.order
+    # the group negation, coordinate by coordinate
+    neg = [T.group.index(tuple(-c for c in T.group.element(i))) for i in range(T.group.order)]
 
     def cases():
         for _ in range(samples):

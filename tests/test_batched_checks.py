@@ -49,6 +49,10 @@ def box_maps(group: Group) -> dict:
     }
 
 
+def zero(group: Group) -> Operator:
+    return Operator.from_table(group, np.zeros((group.order, group.order)))
+
+
 def same_run(batched, oracle, group: Group, fn):
     """Run both checks on recording boxes of fn; outcomes and inputs must agree."""
     seen, seen_oracle = [], []
@@ -92,7 +96,7 @@ class TestSampledConvCheck:
             assert seen == seen_oracle
 
     @pytest.mark.parametrize("factors", SIZES)
-    @pytest.mark.parametrize("make", [Operator.dft, Operator.identity, Operator.zero])
+    @pytest.mark.parametrize("make", [Operator.dft, Operator.identity, zero])
     def test_dense(self, factors, make):
         T = make(Group(factors))
         assert (outcome(check_conv_homomorphism, T, "sampled", count=6, seed=2)
@@ -121,7 +125,7 @@ class TestExchangeAxioms:
             assert seen == seen_oracle
 
     @pytest.mark.parametrize("factors", SIZES)
-    @pytest.mark.parametrize("make", [Operator.dft, Operator.identity, Operator.zero])
+    @pytest.mark.parametrize("make", [Operator.dft, Operator.identity, zero])
     def test_dense(self, factors, make):
         T = make(Group(factors))
         assert (outcome(check_exchange_axioms, T, count=2, seed=8)

@@ -6,10 +6,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from convalg import cli
+from convalg import cli, errors, jsonio, torus
 from convalg.cli import run
 from convalg.groups import Group
 from convalg.intertwine import construct_intertwiner
+from convalg.operators import AxiomReport
 
 from helpers import CRASH_CASES, edited_fixture
 
@@ -180,6 +181,28 @@ class TestClassifyTorus:
         path.write_text(json.dumps(family))
         assert run(["classify-torus", "--input", str(path), "--output", str(out)]) == 0
         assert read(out)["result"]["freq_map"] == [[0, -M // 2]]
+
+    @pytest.mark.parametrize("kind", ["NotUnimodular", "SnapFailure"])
+    def test_recovery_rejection_names_its_frequency(self, tmp_path, monkeypatch, kind):
+        # the character check is stubbed to pass every kernel, so the one at
+        # xi = 1 reaches frequency recovery and fails there; the rejection
+        # names xi as an attribute, in details and in the report
+        monkeypatch.setattr(torus, "check_character_equation",
+                            lambda h, tol: AxiomReport(True, 0.0, tol))
+        x = np.arange(64) / 64
+        bad = (0.5 * np.exp(6j * np.pi * x) if kind == "NotUnimodular"
+               else np.exp(2j * np.pi * np.sin(2 * np.pi * x)))
+        kernels = zip((-1, 0, 1), (np.exp(2j * np.pi * x), np.ones(64), bad))
+        family = {"schema": 1, "M": 64, "N": 1,
+                  "kernels": [[xi, jsonio.pairs(h)] for xi, h in kernels]}
+        with pytest.raises(getattr(errors, kind)) as exc:
+            torus.classify_torus_operator(jsonio.kernel_family_from_json(family))
+        assert exc.value.xi == exc.value.details["xi"] == 1
+        path, out = tmp_path / "family.json", tmp_path / "rep.json"
+        path.write_text(json.dumps(family))
+        assert run(["classify-torus", "--input", str(path), "--output", str(out)]) == 1
+        error = read(out)["error"]
+        assert error["type"] == kind and error["details"]["xi"] == 1
 
 
 class TestVerifyTwisted:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,15 @@ class TestInvolutionSymmetry:
         assert np.allclose(twice, delta(g, 1).values)
         assert not np.allclose(twice, delta(g, 1).values[(-np.arange(5)) % 5])
 
+    @pytest.mark.parametrize("factors", [(2, 3), (4, 4), (3, 1, 2)])
+    def test_product_group_transform_passes(self, factors):
+        # -k is negated per factor: a flat (-index) % order is no group negation here
+        g = Group(factors)
+        box = Operator.from_function(g, lambda a: Signal(g, dft(a).values / math.sqrt(g.order)))
+        for T in (Operator.dft(g, unitary=True), box):
+            rep = check_involution_symmetry(T)
+            assert rep.passed and rep.max_residual <= 1e-14
+
     def test_identity_passes_when_negation_trivial(self):
         rep = check_involution_symmetry(Operator.identity(Group(2)))
         assert rep.passed
@@ -248,6 +258,17 @@ class TestInvolutionSymmetry:
         assert not check_involution_symmetry(T).passed
         with pytest.raises(ValueError):
             check_involution_symmetry(T, samples=samples)
+
+
+@pytest.mark.parametrize("check", [check_exchange_axioms, check_involution_symmetry])
+def test_overflowing_black_box_raises_without_warnings(check):
+    # the images' products overflow: a ValueError, and no RuntimeWarning before it
+    g = Group(8)
+    T = Operator.from_function(g, lambda a: Signal(g, 1e200 * dft(a).values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            check(T)
 
 
 class TestEdgeCases:

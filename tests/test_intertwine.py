@@ -118,7 +118,7 @@ class TestCheckIntertwining:
 
     def test_zero_operator_degenerate_pass(self):
         g = Group(5)
-        rep = check_intertwining(Operator.zero(g),
+        rep = check_intertwining(Operator.from_table(g, np.zeros((5, 5))),
                                  PhaseFunction.affine(g, 2, 1),
                                  PhaseFunction.affine(g, -2, 0))
         assert rep.passed
@@ -185,7 +185,7 @@ class TestClassify:
 
     def test_zero_operator(self):
         with pytest.raises(ZeroOperator):
-            classify_intertwiner(Operator.zero(Group(4)))
+            classify_intertwiner(Operator.from_table(Group(4), np.zeros((4, 4))))
 
     def test_phase_off_lattice(self):
         g = Group(8)
