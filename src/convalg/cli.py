@@ -57,14 +57,13 @@ def _load_operator(cfg: RunConfig) -> Operator:
 def _check_axioms(cfg: RunConfig):
     report = check_conv_homomorphism(_load_operator(cfg), cfg.mode, count=cfg.samples,
                                      seed=cfg.seed, tol=cfg.tol)
-    return jsonio.axiom_report_to_json(report), report.passed
+    return jsonio.report_value_to_json(report), report.passed
 
 
 def _classify_exchange(cfg: RunConfig):
     fn = (exchange.classify_fourier_exchange if cfg.variant == "fourier"
           else exchange.classify_exchange)
-    cls = fn(_load_operator(cfg), cfg.tol, seed=cfg.seed)
-    return jsonio.exchange_classification_to_json(cls), True
+    return jsonio.report_value_to_json(fn(_load_operator(cfg), cfg.tol, seed=cfg.seed)), True
 
 
 def _verify_twisted(cfg: RunConfig):
@@ -122,18 +121,18 @@ OPERATOR = ("--n", "--tol", "--unitary")     # read by _load_operator and the cl
 COMMANDS = {
     "classify-conv": Command(
         "recover (support, sigma) of a convolution-to-product homomorphism",
-        lambda cfg: (jsonio.conv_classification_to_json(
+        lambda cfg: (jsonio.report_value_to_json(
             convhom.classify(_load_operator(cfg), cfg.tol)), True), OPERATOR),
     "classify-exchange": Command(
         "recover (eta, conjugation) of a two-product exchange map",
         _classify_exchange, OPERATOR + ("--seed", "--variant")),
     "classify-intertwiner": Command(
         "recover (k0, m0, m1, c) of a translation/modulation intertwiner",
-        lambda cfg: (jsonio.intertwiner_classification_to_json(
+        lambda cfg: (jsonio.report_value_to_json(
             intertwine.classify_intertwiner(_load_operator(cfg), cfg.tol)), True), OPERATOR),
     "classify-torus": Command(
         "recover (support, frequency map) of a circle-grid kernel operator",
-        lambda cfg: (jsonio.torus_classification_to_json(torus.classify_torus_operator(
+        lambda cfg: (jsonio.report_value_to_json(torus.classify_torus_operator(
             jsonio.kernel_family_from_json(jsonio.load(cfg.input)), cfg.tol)), True),
         ("--tol",)),
     "verify-twisted": Command(

@@ -27,7 +27,6 @@ from .operators import DEFAULT_TOL, Operator, check_conv_homomorphism, rel_resid
 class ConvClassification:
     """Support set, frequency map on the support, and the rebuild residual."""
 
-    n: int
     support: tuple[int, ...]
     sigma: Mapping[int, int]
     residual: float
@@ -72,7 +71,7 @@ def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
         support.append(eta)
         sigma[eta] = int(-exponents[eta]) % n
     residual = rel_residual(table, construct(T.group, support, sigma).table)
-    return ConvClassification(n, tuple(support), dict(sigma), residual)
+    return ConvClassification(tuple(support), dict(sigma), residual)
 
 
 def construct(group: Group, support, sigma: Mapping[int, int]) -> Operator:

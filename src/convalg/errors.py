@@ -9,6 +9,7 @@ over them for the message, and a docstring where the name does not say why.
 
 from __future__ import annotations
 
+import copyreg
 from typing import Any
 
 
@@ -48,6 +49,10 @@ class ClassificationError(ConvalgError):
         if name in self.__dict__.get("details", ()):
             return self.details[name]
         raise AttributeError(name)
+
+    def __reduce__(self):
+        # type, message and all of details; the default re-calls type(message)
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 REJECTIONS = (

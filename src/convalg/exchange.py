@@ -121,7 +121,7 @@ def classify_exchange(T: Operator, tol: float = DEFAULT_TOL, *,
     b_i = b                             # beta(i): i is the last probe
     d_id, d_conj = abs(b_i - 1j), abs(b_i + 1j)
     conjugate = d_conj < d_id
-    if min(d_id, d_conj) > tol or max(d_id, d_conj) < 1.0:
+    if min(d_id, d_conj) > tol:
         raise BetaNotIdentityOrConjugation(1j, b_i)
 
     # step 4: full-signal sweep of the recovered form.  T meets no signal

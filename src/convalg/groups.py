@@ -14,15 +14,13 @@ n-dimensional FFTs over the factor axes, for any moduli; convolution goes
 through the convolution theorem, f * g = idft(dft(f) . dft(g)).
 unit_roots holds the e^{2i pi m / n} lattice that the classifiers build
 their tables from; nearest_characters recovers the exponent of sampled
-characters (the Z/n and circle-grid rows), and snap_root snaps a single
-phase onto the lattice (the intertwiner parameters).
+characters (the Z/n and circle-grid rows).
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -205,12 +203,3 @@ def nearest_characters(rows) -> tuple[np.ndarray, np.ndarray]:
     dist = np.max(np.abs(rows - unit_roots(m[:, None] * np.arange(n), n)), axis=-1)
     return m, dist
 
-
-def snap_root(z: complex, n: int, tol: float) -> tuple[Optional[int], float]:
-    """Nearest m with z ~ e^{2i pi m / n}, and the angular deviation from it.
-
-    m is None when the deviation exceeds the window tol * max(n / pi, SNAP_FLOOR).
-    """
-    m = round(cmath.phase(z) * n / (2.0 * np.pi)) % n
-    dev = abs(cmath.phase(z * complex(unit_roots(-m, n))))
-    return (m if dev <= tol * max(n / np.pi, SNAP_FLOOR) else None), dev

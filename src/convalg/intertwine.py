@@ -17,13 +17,14 @@ phases to the lattice, and verifies the whole table against the rebuild.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (EntryVanishes, PhaseOffLattice, ReconstructionMismatch,
                      ZeroOperator)
-from .groups import Group, snap_root, unit_roots
+from .groups import SNAP_FLOOR, Group, unit_roots
 from .operators import DEFAULT_TOL, Operator, rel_residual
 
 
@@ -53,9 +54,11 @@ def construct_intertwiner(group: Group, k0: int, m0: int, m1: int,
 
 
 def _lattice_index(z: complex, n: int, tol: float, j: int) -> int:
-    """Index m with z ~ e^{2i pi m / n}; PhaseOffLattice if the snap misses."""
-    m, dev = snap_root(z, n, tol)
-    if m is None:
+    """Nearest m with z ~ e^{2i pi m / n}; PhaseOffLattice if the angular
+    deviation from it exceeds the window tol * max(n / pi, SNAP_FLOOR)."""
+    m = round(cmath.phase(z) * n / (2.0 * np.pi)) % n
+    dev = abs(cmath.phase(z * complex(unit_roots(-m, n))))
+    if not dev <= tol * max(n / np.pi, SNAP_FLOOR):    # a NaN deviation raises too
         raise PhaseOffLattice(j, dev)
     return m
 

@@ -12,7 +12,9 @@ All residuals use the scale-free metric
 character_residuals applies it to the character equation h(k + l) = h(k) h(l)
 on every pair in O(rows * order + order^2) memory; the groups are abelian, so
 the equation is symmetric in (k, l) and each unordered pair is measured once.
-The basis check and the circle-grid kernel check both go through it.  The
+character_report turns those residuals into an AxiomReport, for the basis
+check and the circle-grid kernel check alike.  Every witness is the first
+failing case: the first pair in row-major order, or the first draw.  The
 sampled checkers (here and in exchange) stack their draws, products and
 convolutions and score every case in one check_identities pass; only the
 operator's own evaluations run signal by signal.
@@ -163,6 +165,28 @@ def check_identities(lhs: np.ndarray, rhs: np.ndarray, tol: float,
                        witness=wit, checked=len(res))
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def character_report(rows: np.ndarray, group: Group, tol: float, identity: str,
+                     inputs: Callable[[int, int], tuple]) -> AxiomReport:
+    """The character equation of every row on all order^2 pairs, as an AxiomReport.
+
+    max_residual is the worst pair, NaN included (from products that
+    overflow); the witness is the first pair (k, l) in row-major order not
+    within tol, with both sides over all rows, and inputs(k, l) names it.
+    """
+    rows = np.asarray(rows, dtype=np.complex128)
+    n = group.order
+    res = character_residuals(rows, group)
+    worst = float(res.max())
+    if worst <= tol:
+        return AxiomReport(True, worst, tol, checked=n * n)
+    k, l = divmod(int(np.argmax(~(res <= tol))), n)
+    kl = group.index(tuple(a + b for a, b in zip(group.element(k), group.element(l))))
+    wit = Witness(identity, inputs(k, l), rows[:, kl], rows[:, k] * rows[:, l],
+                  float(res[k, l]))
+    return AxiomReport(False, worst, tol, witness=wit, checked=n * n)
+
+
 class Operator:
     """Transform of signals on a fixed group: dense table or black box."""
 
@@ -224,11 +248,7 @@ class Operator:
         """Materialize the column table by evaluating on all point masses."""
         if self.is_dense:
             return self
-        n = self.group.order
-        cols = np.empty((n, n), dtype=np.complex128)
-        for k in range(n):
-            cols[:, k] = apply(self, delta(self.group, k)).values
-        return Operator.from_table(self.group, cols)
+        return Operator.from_table(self.group, apply_each(self, np.eye(self.group.order))[0].T)
 
 
 def apply(T: Operator, a: Signal) -> Signal:
@@ -271,10 +291,10 @@ def check_conv_homomorphism(T: Operator, mode: str = "basis", *,
     basis mode runs all n^2 point-mass pairs of a dense T (a black box
     raises ValueError; to_dense() materializes a linear one), which is
     sufficient for the full identity (both sides are bilinear in (f, g)): on
-    point masses it is the character equation of every row of the table,
-    and the witness is the first failing pair in row-major order.  sampled
-    mode draws `count` random pairs with unit-disc entries; a count below 1
-    raises ValueError, since a check of no pairs would pass any operator.
+    point masses it is the character equation of every row of the table
+    (character_report).  sampled mode draws `count` random pairs with
+    unit-disc entries; a count below 1 raises ValueError, since a check of
+    no pairs would pass any operator.
     """
     group = T.group
     n = group.order
@@ -282,18 +302,8 @@ def check_conv_homomorphism(T: Operator, mode: str = "basis", *,
         if not T.is_dense:
             raise ValueError("basis mode needs a dense operator; "
                              "materialize a linear black box with to_dense()")
-        D = T.table
-        res = character_residuals(D, group)
-        worst = float(res.max())
-        if worst <= tol:
-            return AxiomReport(True, worst, tol, checked=n * n)
-        # NaN (from entries so large that the products overflow) fails too
-        k0, l0 = (int(v) for v in np.argwhere(~(res <= tol))[0])
-        k, l = group.element(k0), group.element(l0)
-        kl = group.index(tuple(a + b for a, b in zip(k, l)))
-        wit = Witness("T(f*g) = T(f).T(g)", (delta(group, k), delta(group, l)),
-                      D[:, kl], D[:, k0] * D[:, l0], float(res[k0, l0]))
-        return AxiomReport(False, worst, tol, witness=wit, checked=n * n)
+        return character_report(T.table, group, tol, "T(f*g) = T(f).T(g)", lambda k, l: (
+            delta(group, group.element(k)), delta(group, group.element(l))))
     if mode == "sampled":
         if count < 1:
             raise ValueError(f"sampled mode needs a count of at least 1, got {count}")

@@ -52,24 +52,24 @@ class PlaneGrid:
         return self.side >= (2.0 * self.half_width) ** 2
 
 
-def _table(grid: PlaneGrid, values) -> np.ndarray:
-    values = np.asarray(values, dtype=np.complex128)
-    if values.shape != (grid.side, grid.side):
-        raise ValueError(
-            f"values must be {grid.side}x{grid.side}, got {values.shape}")
-    return finite(values, "table values")
-
-
 @dataclass(frozen=True)
-class PhaseSpaceFunction:
-    """Sampled f(x_i, y_j) on a PlaneGrid, row-major in x."""
+class _Table:
+    """A finite S x S complex table on a PlaneGrid."""
 
     grid: PlaneGrid
     values: np.ndarray = field(repr=False)
 
     def __init__(self, grid: PlaneGrid, values):
+        values = np.asarray(values, dtype=np.complex128)
+        if values.shape != (grid.side, grid.side):
+            raise ValueError(
+                f"values must be {grid.side}x{grid.side}, got {values.shape}")
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", _table(grid, values))
+        object.__setattr__(self, "values", finite(values, "table values"))
+
+
+class PhaseSpaceFunction(_Table):
+    """Sampled f(x_i, y_j) on a PlaneGrid, row-major in x."""
 
     def boundary_ring_max(self) -> float:
         """Largest magnitude on the outermost ring; the truncation diagnostic."""
@@ -78,16 +78,8 @@ class PhaseSpaceFunction:
                          np.abs(v[:, 0]).max(), np.abs(v[:, -1]).max()))
 
 
-@dataclass(frozen=True)
-class OperatorKernel:
+class OperatorKernel(_Table):
     """Sampled two-point kernel K(x_i, y_j) on the same 1-d axis."""
-
-    grid: PlaneGrid
-    values: np.ndarray = field(repr=False)
-
-    def __init__(self, grid: PlaneGrid, values):
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", _table(grid, values))
 
 
 def _same_grid(a, b) -> PlaneGrid:

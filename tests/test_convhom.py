@@ -160,7 +160,7 @@ class TestRoundtrip:
         g = Group(8)
         T = Operator.dft(g)
         c = classify(T)
-        shifted = type(c)(c.n, c.support,
+        shifted = type(c)(c.support,
                           {e: (s + 1) % 8 for e, s in c.sigma.items()}, c.residual)
         bad = construct(g, shifted.support, shifted.sigma)
         assert np.max(np.abs(T.table - bad.table)) >= 1.0

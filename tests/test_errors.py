@@ -6,8 +6,10 @@ byte-identical; several types are raised by no bundled fixture or workload
 request, and this table is their only guard.
 """
 
+import importlib
 import inspect
 import pathlib
+import pickle
 import re
 
 import pytest
@@ -104,6 +106,17 @@ def test_each_field_takes_exactly_one_value():
         errors.SnapFailure(-3, 0.125).xi
 
 
+@pytest.mark.parametrize("name", REJECTIONS)
+def test_rejection_survives_pickle(name):
+    cls = getattr(errors, name)
+    exc = cls(*(REPORT if f == "report" else 0.5 for f in cls.fields))
+    exc.details["xi"] = 7               # a key added after raising, as the torus adds xi
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc)
+    assert back.details == exc.details and back.xi == 7
+
+
 def test_every_rejection_has_a_case():
     assert sorted({c[0] for c in CASES}) == REJECTIONS
     assert len(REJECTIONS) == 16
@@ -114,3 +127,19 @@ def test_every_rejection_is_in_the_readme():
         encoding="utf-8")
     table = readme.split("### Rejections", 1)[1].split("###", 1)[0]
     assert sorted(re.findall(r"^\| `(\w+)` \|", table, re.M)) == REJECTIONS
+
+
+def test_every_layout_name_is_in_its_module():
+    # a moved or deleted name cannot stay documented in the README "Layout" table
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("## Layout", 1)[1].split("##", 1)[0]
+    rows = re.findall(r"^\| `(convalg\.\w+)` +\|(.*)\|$", table, re.M)
+    assert len(rows) == 10
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", contents):
+            obj = module
+            for part in name.split("."):
+                assert hasattr(obj, part), f"{module_name} has no {name}"
+                obj = getattr(obj, part)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -9,6 +10,7 @@ import pytest
 from convalg import (Group, Operator, Signal, TorusGrid, check_conv_homomorphism,
                      classify, construct_intertwiner, delta,
                      fourier_coefficient_operator)
+from convalg import jsonio
 from convalg.errors import SchemaError
 from convalg.jsonio import (axiom_report_to_json, complex_from_json,
                             construct_params_from_json,
@@ -134,6 +136,12 @@ class TestOperator:
         with pytest.raises(SchemaError):
             operator_from_json(doc)
 
+    def test_black_box_on_product_group(self):
+        g = Group((2, 3))
+        dft = Operator.dft(g)
+        box = Operator.from_function(g, lambda a: dft(a))
+        assert operator_to_json(box) == operator_to_json(dft)
+
     def test_short_column_named(self):
         doc = operator_to_json(Operator.identity(Group(3)))
         del doc["columns"][1][2]
@@ -178,6 +186,30 @@ class TestClassifications:
         assert doc["passed"] is False
         assert doc["witness"]["identity"] == "T(f*g) = T(f).T(g)"
         assert len(doc["witness"]["inputs"]) == 2
+
+
+    def test_each_result_encodes_to_exactly_its_fields(self):
+        from convalg import classify_exchange, classify_intertwiner, construct_exchange
+        grid = TorusGrid(16)
+        rejected = check_conv_homomorphism(Operator.identity(Group(3)))
+        results = [
+            classify(Operator.dft(Group(4))),
+            classify_exchange(construct_exchange(Group(5), 3, True)),
+            classify_intertwiner(construct_intertwiner(Group(4), 1, 2, 3, 2 - 1j)),
+            classify_torus_operator(extract_kernels(fourier_coefficient_operator(grid, 2), grid)),
+            rejected, rejected.witness]
+        for r in results:
+            doc = json.loads(json.dumps(jsonio.report_value_to_json(r)))
+            assert set(doc) == {f.name for f in dataclasses.fields(r)}
+            assert not {"n", "N"} & set(doc)
+
+    @pytest.mark.parametrize("name", ["witness_to_json", "axiom_report_to_json",
+                                      "conv_classification_to_json",
+                                      "exchange_classification_to_json",
+                                      "intertwiner_classification_to_json",
+                                      "torus_classification_to_json"])
+    def test_former_encoders_are_the_one_rule(self, name):
+        assert getattr(jsonio, name) is jsonio.report_value_to_json
 
 
 class TestKernelFamily:

@@ -166,6 +166,14 @@ class TestClassify:
         assert cls.residual == rel_residual(extract_kernels(T, grid).kernels, canonical)
         assert 0 < cls.residual <= 1e-11
 
+    def test_kernel_near_zero_passing_the_check_leaves_support(self):
+        # above the cheap tol skip, but within the check's reach of c * chi
+        grid = TorusGrid(64)
+        h = 1.000000001e-9 * character(grid, 3)
+        assert check_character_equation(h, 1e-9).passed
+        cls = classify_torus_operator(KernelFamily(grid, 0, h[None]), 1e-9)
+        assert cls.support == () and cls.freq_map == {}
+
     def test_degenerate_dichotomy(self):
         grid = TorusGrid(64)
         T = np.array(fourier_coefficient_operator(grid, 5))
