@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (BetaNotIdentityOrConjugation, DeltaImageInconsistent,
                      DeltaImageNotDelta, EtaNotCoprime, FinalSweepViolation,
                      FixedPointViolation)
-from .groups import Group, Signal, constant, delta, expectation, negation
+from .groups import SNAP_FLOOR, Group, Signal, constant, delta, expectation, negation
 from .operators import (DEFAULT_TOL, AxiomReport, Operator, apply, apply_each,
                         check_identities, compose, random_values, rel_residual)
 
@@ -95,14 +95,16 @@ def classify_exchange(T: Operator, tol: float = DEFAULT_TOL, *,
             raise FixedPointViolation(name, r)
         residual = max(residual, r)
 
-    # step 2: point masses map to point masses (one entry ~1, the rest ~0),
-    # multiplicatively; T meets every delta_j before the first is judged
+    # step 2: point masses map to point masses (one entry within SNAP_FLOOR * tol
+    # of 1, the rest of 0), multiplicatively; T meets every delta_j before the
+    # first is judged
     img = apply_each(T, np.eye(n)[1:])[0]
-    near_one = np.abs(img - 1.0) <= tol
+    snap = SNAP_FLOOR * tol
+    near_one = np.abs(img - 1.0) <= snap
     sigma = np.concatenate([[0], np.argmax(near_one, axis=1)])
     rest = np.abs(img)
     rest[np.arange(n - 1), sigma[1:]] = 0.0
-    bad = np.flatnonzero((np.count_nonzero(near_one, axis=1) != 1) | (rest.max(axis=1) > tol))
+    bad = np.flatnonzero((np.count_nonzero(near_one, axis=1) != 1) | (rest.max(axis=1) > snap))
     if bad.size:
         raise DeltaImageNotDelta(int(bad[0]) + 1)
     eta = int(sigma[1])
@@ -118,11 +120,7 @@ def classify_exchange(T: Operator, tol: float = DEFAULT_TOL, *,
         if min(abs(b - c), abs(b - np.conj(c))) > tol * (1.0 + abs(c)):
             raise BetaNotIdentityOrConjugation(c, b)
         residual = max(residual, min(abs(b - c), abs(b - np.conj(c))) / (1.0 + abs(c)))
-    b_i = b                             # beta(i): i is the last probe
-    d_id, d_conj = abs(b_i - 1j), abs(b_i + 1j)
-    conjugate = d_conj < d_id
-    if min(d_id, d_conj) > tol:
-        raise BetaNotIdentityOrConjugation(1j, b_i)
+    conjugate = abs(b + 1j) < abs(b - 1j)   # b = beta(i): i is the last probe
 
     # step 4: full-signal sweep of the recovered form.  T meets no signal
     # past the first that fails: an image within tol of its target entry by

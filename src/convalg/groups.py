@@ -14,13 +14,14 @@ n-dimensional FFTs over the factor axes, for any moduli; convolution goes
 through the convolution theorem, f * g = idft(dft(f) . dft(g)).
 unit_roots holds the e^{2i pi m / n} lattice that the classifiers build
 their tables from; nearest_characters recovers the exponent of sampled
-characters (the Z/n and circle-grid rows).
+characters (the Z/n and circle-grid rows), and character_certified settles
+their character equation by the distance to that character.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -128,10 +129,10 @@ def _same_group(f: Signal, g: Signal) -> Group:
     return f.group
 
 
-def delta(group: Group, k: Element = 0) -> Signal:
-    """Point mass: 1 at k, 0 elsewhere."""
+def delta(group: Group, k: Optional[Element] = None) -> Signal:
+    """Point mass: 1 at k (by default the identity element), 0 elsewhere."""
     v = np.zeros(group.order, dtype=np.complex128)
-    v[group.index(k)] = 1.0
+    v[0 if k is None else group.index(k)] = 1.0
     return Signal(group, v)
 
 
@@ -203,3 +204,14 @@ def nearest_characters(rows) -> tuple[np.ndarray, np.ndarray]:
     dist = np.max(np.abs(rows - unit_roots(m[:, None] * np.arange(n), n)), axis=-1)
     return m, dist
 
+
+@np.errstate(over="ignore", invalid="ignore")
+def character_certified(rows, tol: float) -> np.ndarray:
+    """Per row of rows (r, n): True where a bound alone puts h(k + l) = h(k) h(l) within tol.
+
+    The bound is min(3d + d^2, e + e^2) for the sup distance d to the nearest
+    character and the sup norm e, plus a floor of 64 ulp (README, Numerical notes).
+    """
+    _, d = nearest_characters(rows)
+    e = np.max(np.abs(rows), axis=-1)
+    return np.minimum(3 * d + d * d, e + e * e) + 64 * np.finfo(float).eps <= tol

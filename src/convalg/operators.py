@@ -66,8 +66,9 @@ def character_residuals(rows: np.ndarray, group: Group) -> np.ndarray:
     maximum of |rows|.  k runs in blocks along the last factor and l from the
     block's first coordinate along the first; no temporary outgrows _BLOCK
     entries or one (r, order) slab, so memory stays O(r * order + order^2).
+    Every entry is a max over rows, so only the distinct rows are measured.
     """
-    rows = np.asarray(rows, dtype=np.complex128)
+    rows = distinct_rows(rows)
     r, n = rows.shape
     f = group.factors
     H = rows.reshape((r,) + f)
@@ -111,6 +112,13 @@ def character_residuals(rows: np.ndarray, group: Group) -> np.ndarray:
         square = res[s:e, s:e]
         np.copyto(square, square.T, where=lower[:len(square), :len(square)])
     return res
+
+
+def distinct_rows(rows) -> np.ndarray:
+    """The rows of a 2-d array that differ bit for bit, each once, in their order."""
+    rows = np.ascontiguousarray(rows, dtype=np.complex128)
+    _, first = np.unique(rows.view(np.dtype((np.void, rows[0].nbytes))), return_index=True)
+    return rows[np.sort(first)]
 
 
 @functools.lru_cache(maxsize=8)

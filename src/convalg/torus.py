@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (CharacterEquationViolation, NotUnimodular, SnapFailure)
-from .groups import SNAP_FLOOR, Group, nearest_characters, unit_roots
+from .groups import SNAP_FLOOR, Group, character_certified, nearest_characters, unit_roots
 from .operators import DEFAULT_TOL, AxiomReport, character_report, rel_residual
 
 
@@ -134,24 +134,26 @@ def classify_torus_operator(family: KernelFamily,
     """Classify the kernels of (T f)(xi) = chi_E(xi) fhat(phi(xi)).
 
     Per frequency: a kernel below tol in sup norm leaves the support; any
-    other kernel must satisfy the character equation (else the violation is
+    other kernel must satisfy the character equation, by the bound of
+    groups.character_certified or else by the check (whose violation is
     raised with the offending xi).  A passing kernel within SNAP_FLOOR * tol
     in sup norm leaves the support too (the check passes c * chi for c up to
     about tol (1 + 2 tol)); the rest yield phi(xi) by frequency recovery,
-    whose unimodularity and snap gates carry the same floor.
-    The residual is the distance from the kernels to the canonical ones.
+    whose unimodularity and snap gates carry the same floor.  The residual
+    is the distance from the kernels to the canonical ones.
     """
     support: list[int] = []
     freq_map: dict[int, int] = {}
     canonical = np.zeros_like(family.kernels)
-    for xi in family.frequencies:
-        h = family.kernel(xi)
+    for xi, h, certified in zip(family.frequencies, family.kernels,
+                                character_certified(family.kernels, tol)):
         sup = float(np.max(np.abs(h)))
         if sup <= tol:                  # skips the check, as most zero kernels are exact
             continue
-        report = check_character_equation(h, tol)
-        if not report.passed:
-            raise CharacterEquationViolation(xi, report)
+        if not certified:
+            report = check_character_equation(h, tol)
+            if not report.passed:
+                raise CharacterEquationViolation(xi, report)
         if sup <= SNAP_FLOOR * tol:
             continue
         try:

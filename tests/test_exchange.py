@@ -216,6 +216,57 @@ class TestFourierVariant:
         assert (c.eta, c.conjugate) == (3, False)
 
 
+def perturbed_exchange(group, eta, conjugate, kind, amplitude, rng) -> Operator:
+    """construct_exchange(group, eta, conjugate) with a defect of size amplitude."""
+    canonical = construct_exchange(group, eta, conjugate)
+    noise = rng.normal(size=group.order) + 1j * rng.normal(size=group.order)
+    z = noise[0] / abs(noise[0])
+
+    def run(a):
+        v = apply(canonical, a).values
+        if kind == "scaled":
+            v = (1 + amplitude * z) * v
+        elif kind == "entrywise":
+            v = v * (1 + amplitude * noise)
+        elif kind == "leak":                # a linear leak of the mean into every entry
+            v = v + amplitude * np.mean(a.values) * noise
+        else:                               # a phase growing with |v|^2
+            v = v * np.exp(1j * amplitude * np.abs(v) ** 2)
+        return Signal(group, v)
+
+    return Operator.from_function(group, run)
+
+
+class TestPassImpliesClassifies:
+    @pytest.mark.parametrize("n", [2, 5, 8, 12])
+    def test_near_canonical_maps_passing_the_check_classify(self, n):
+        # (1 + eps) C, C (1 + e) entrywise and C + eps E[a] e at amplitudes
+        # around tol: whichever passes the exchange axioms must classify to
+        # its planted (eta, conjugate)
+        g = Group(n)
+        rng = np.random.default_rng(n)
+        passed = 0
+        for amplitude in np.logspace(-11, -8, 7):
+            for kind in ("scaled", "entrywise", "leak"):
+                eta, conjugate = int(rng.choice(units(n) or [1])), bool(rng.integers(2))
+                T = perturbed_exchange(g, eta, conjugate, kind, amplitude, rng)
+                if not check_exchange_axioms(T, tol=1e-9).passed:
+                    continue
+                passed += 1
+                c = classify_exchange(T, 1e-9)
+                assert (c.eta, c.conjugate) == (eta, conjugate)
+        assert passed >= 10
+
+    @pytest.mark.xfail(strict=True, raises=BetaNotIdentityOrConjugation,
+                       reason="the exchange check never evaluates T at the step-3 probes "
+                              "(c/n) ones, so a defect growing with |T(a)| passes it and "
+                              "fails beta(3)")
+    def test_defect_growing_with_magnitude_classifies(self):
+        T = perturbed_exchange(Group(2), 1, True, "phase", 6.31e-10, np.random.default_rng(0))
+        assert check_exchange_axioms(T, tol=1e-9).passed
+        classify_exchange(T, 1e-9)
+
+
 class TestInvolutionSymmetry:
     def test_unitary_transform_passes(self):
         rep = check_involution_symmetry(Operator.dft(Group(5), unitary=True))

@@ -70,6 +70,12 @@ class TestDelta:
         expected[g.index((1, 0))] = 1
         assert np.array_equal(d.values, expected)
 
+    @pytest.mark.parametrize("factors", [(5,), (2, 3), (4, 6)])
+    def test_delta_defaults_to_the_identity_element(self, factors):
+        g = Group(factors)
+        assert np.array_equal(delta(g).values, delta(g, (0,) * len(factors)).values)
+        assert np.array_equal(delta(g).values, np.eye(g.order)[0])
+
     def test_delta_reduces_noncanonical_index(self):
         g = Group(4)
         assert np.array_equal(delta(g, 6).values, delta(g, 2).values)

@@ -6,8 +6,11 @@ import pytest
 from convalg import (Group, Operator, Signal, apply, check_character_equation,
                      check_conv_homomorphism, check_exchange_axioms, compose,
                      constant, delta, dft, pointwise_mul, rel_residual)
+from convalg import operators
+from convalg.convhom import classify, construct
 from convalg.errors import GroupMismatch
-from convalg.operators import character_residuals
+from convalg.groups import unit_roots
+from convalg.operators import character_residuals, distinct_rows
 
 from helpers import direct_dft, disc_signal, naive_character_residuals
 
@@ -219,6 +222,96 @@ class TestCharacterResiduals:
         assert peak < 8 * 2 ** 20
 
 
+def mirrored_upper(res: np.ndarray) -> np.ndarray:
+    """res with its upper triangle (k <= l) copied onto the lower, bit for bit."""
+    k = np.arange(len(res))
+    return np.where(k[:, None] <= k, res, res.T)
+
+
+def repeated_sigma_table() -> np.ndarray:
+    # rows off the support are zero; sigma repeats 3 and 7
+    sigma = {0: 3, 2: 3, 5: 7, 6: 3, 9: 7, 11: 0}
+    return np.array(construct(Group(12), sorted(sigma), sigma).table)
+
+
+def product_table() -> np.ndarray:
+    # the (4, 6) transform with three rows zeroed and two copies of row 5
+    table = np.array(Operator.dft(Group((4, 6))).table)
+    table[[1, 7, 20]] = 0.0
+    table[[2, 9]] = table[5]
+    return table
+
+
+def planted(table: np.ndarray, entries) -> np.ndarray:
+    for eta, k in entries:
+        table[eta, k] += 1e-3
+    return table
+
+
+# tables whose rows repeat bit for bit: (group factors, table)
+REPEATED_ROWS = {
+    "zero rows and repeated sigma": lambda: ((12,), repeated_sigma_table()),
+    "all zero": lambda: ((8,), np.zeros((8, 8), dtype=complex)),
+    "one distinct row": lambda: ((10,), np.tile(unit_roots(-3 * np.arange(10), 10), (10, 1))),
+    "product group": lambda: ((4, 6), product_table()),
+    "failing": lambda: ((12,), planted(repeated_sigma_table(), [(9, 4), (6, 2)])),
+    "failing product group": lambda: ((4, 6), planted(product_table(), [(9, 13)])),
+}
+
+
+class TestDistinctRows:
+    """Each distinct row is measured once, and every residual keeps its bits."""
+
+    @pytest.mark.parametrize("name", REPEATED_ROWS)
+    def test_residuals_match_the_naive_oracle_bit_for_bit(self, name):
+        factors, table = REPEATED_ROWS[name]()
+        g = Group(factors)
+        want = mirrored_upper(naive_character_residuals(table, g))
+        res = character_residuals(table, g)
+        assert np.array_equal(res.view(np.uint64), want.view(np.uint64))
+        rep = check_conv_homomorphism(Operator.from_table(g, table))
+        assert rep.passed is not name.startswith("failing")
+        assert rep.max_residual == want.max() and rep.checked == g.order ** 2
+
+    @pytest.mark.parametrize("name", ["failing", "failing product group"])
+    def test_failing_table_keeps_its_witness(self, name):
+        factors, table = REPEATED_ROWS[name]()
+        g = Group(factors)
+        want = mirrored_upper(naive_character_residuals(table, g))
+        rep = check_conv_homomorphism(Operator.from_table(g, table))
+        k, l = np.argwhere(~(want <= rep.tol))[0]
+        kl = g.index(tuple(a + b for a, b in zip(g.element(k), g.element(l))))
+        f, h = rep.witness.inputs
+        assert np.array_equal(f.values, delta(g, g.element(k)).values)
+        assert np.array_equal(h.values, delta(g, g.element(l)).values)
+        assert np.array_equal(rep.witness.lhs, table[:, kl])       # over every row
+        assert np.array_equal(rep.witness.rhs, table[:, k] * table[:, l])
+        assert rep.witness.residual == want[k, l]
+
+    def test_distinct_rows_keep_their_order(self):
+        rows = np.array([[1, 2], [0, 0], [1, 2], [0, -0.0], [0, 0], [3, 1j]])
+        assert np.array_equal(distinct_rows(rows), rows[[0, 1, 3, 5]])
+
+    def test_construct_table_measures_its_distinct_rows(self, monkeypatch):
+        measured = []
+
+        def counting(rows):
+            out = distinct_rows(rows)
+            measured.append(len(out))
+            return out
+
+        monkeypatch.setattr(operators, "distinct_rows", counting)
+        n = 64
+        rng = np.random.default_rng(7)
+        support = sorted(int(e) for e in rng.choice(n, 40, replace=False))
+        sigma = {e: int(rng.integers(6)) for e in support}
+        T = construct(Group(n), support, sigma)
+        assert classify(T).sigma == sigma
+        assert check_conv_homomorphism(T).passed
+        # one row per value of sigma, and one zero row off the support
+        assert measured == [len(set(sigma.values())) + 1] * 2
+
+
 class TestExchangeAxiomsCheck:
     def test_identity_passes(self):
         g = Group(6)
@@ -297,7 +390,7 @@ class TestCompose:
         a = disc_signal(g, np.random.default_rng(5))
         assert np.allclose(D.table @ a.values, np.roll(a.values, 1))
 
-    @pytest.mark.parametrize("factors", [(2, 3), (3, 2, 2), (7,)])
+    @pytest.mark.parametrize("factors", [(2, 3), (4, 6), (3, 2, 2), (7,)])
     def test_to_dense_on_any_group_is_the_table(self, factors):
         g = Group(factors)
         dft = Operator.dft(g)

@@ -1,3 +1,6 @@
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,12 @@ from convalg import (TorusGrid, check_character_equation,
                      rel_residual)
 from convalg.errors import (CharacterEquationViolation, NotUnimodular,
                             SnapFailure)
+from convalg import torus
+from convalg.groups import character_certified
 from convalg.torus import KernelFamily, character
+
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def noisy_character(grid, a, amplitude, seed):
@@ -209,6 +217,89 @@ class TestPassImpliesClassifies:
                     cls = classify_torus_operator(KernelFamily(grid, 0, h[None]), 1e-9)
                     assert cls.freq_map == {0: -a}
         assert passed >= 200
+
+
+FLOOR = 64 * np.finfo(float).eps       # the certificate's rounding floor
+
+
+def at_edge(tol: float, b: float) -> float:
+    """The x >= 0 with x^2 + b x = tol - FLOOR, the edge of the certificate's bound."""
+    t = tol - FLOOR
+    return 2 * t / (b + np.sqrt(b * b + 4 * t)) if t > 0 else tol / b
+
+
+def edge_kernels(grid: TorusGrid, a: int, tol: float, s: float, rng) -> dict:
+    """Kernels whose bound sits at s times its edge at tol, by kind."""
+    M = grid.M
+    chi = character(grid, a)
+    d, e = s * at_edge(tol, 3.0), s * at_edge(tol, 1.0)
+    phases = np.exp(2j * np.pi * rng.random(M))
+    # a linear phase drift whose sup distance to chi is d
+    drift = 2 * np.arcsin(min(d / 2, 1.0)) / (M - 1)
+    return {"chi + e": chi + d * phases, "(1 + d) chi": (1 + d) * chi,
+            "chi e^(ick)": chi * np.exp(1j * drift * np.arange(M)), "near zero": e * phases}
+
+
+class TestCertificate:
+    TOLS = [1e-17, 1e-16, 1e-15, 5e-15, 1e-14, 1.5e-14, 2e-14, 5e-14, 1e-13, 1e-12,
+            1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
+
+    @pytest.mark.parametrize("M", [2, 3, 8, 64, 128])
+    def test_a_certified_kernel_passes_the_check(self, M):
+        # around the edge of each bound, from below and above it: wherever the
+        # certificate fires, the exact check passes at the same tol
+        grid = TorusGrid(M)
+        rng = np.random.default_rng(M)
+        fired: dict[str, int] = {}
+        for tol in self.TOLS:
+            for a in sorted({0, M // 2, int(rng.integers(M))}):
+                for s in (0.5, 0.9, 0.999, 1.0, 1.001, 1.1):
+                    kernels = edge_kernels(grid, a, tol, s, rng)
+                    certified = character_certified(np.array(list(kernels.values())), tol)
+                    assert tol > 1e-17 or not certified.any()
+                    for (kind, h), cert in zip(kernels.items(), certified):
+                        if cert:
+                            fired[kind] = fired.get(kind, 0) + 1
+                            assert check_character_equation(h, tol).passed, (kind, tol, a, s)
+        assert len(fired) == 4 and min(fired.values()) >= 20, fired
+
+    def test_exact_characters_certify_above_the_floor_only(self):
+        kernels = np.array([character(TorusGrid(64), a) for a in range(64)])
+        assert not character_certified(kernels, FLOOR / 2).any()
+        assert character_certified(kernels, 2 * FLOOR).all()
+
+
+def counted_checks(monkeypatch) -> list:
+    """The kernels that classify_torus_operator sends to the exact check."""
+    seen = []
+
+    def counting(h, tol):
+        seen.append(h)
+        return check_character_equation(h, tol)
+
+    monkeypatch.setattr(torus, "check_character_equation", counting)
+    return seen
+
+
+class TestCertifiedWork:
+    @pytest.mark.parametrize("M, N", [(64, 8), (256, 32), (512, 64)])
+    def test_passing_family_runs_no_exact_check(self, monkeypatch, M, N):
+        seen = counted_checks(monkeypatch)
+        kernels, (_, want) = workloads.torus_case(np.random.default_rng(M), M, N, None, N + 1)
+        cls = classify_torus_operator(KernelFamily(TorusGrid(M), N, kernels))
+        assert list(cls.support) == want["support"]
+        assert [list(p) for p in cls.freq_map.items()] == want["freq_map"]
+        assert seen == []
+
+    @pytest.mark.parametrize("broken", ["perturbed-sample", "half-frequency"])
+    def test_broken_family_runs_the_exact_check_once(self, monkeypatch, broken):
+        seen = counted_checks(monkeypatch)
+        M, N = 256, 32
+        kernels, (_, want) = workloads.torus_case(np.random.default_rng(5), M, N, broken, N + 1)
+        with pytest.raises(CharacterEquationViolation) as exc:
+            classify_torus_operator(KernelFamily(TorusGrid(M), N, kernels))
+        assert exc.value.details["xi"] == want["xi"]
+        assert len(seen) == 1 and np.array_equal(seen[0], kernels[want["xi"] + N])
 
 
 class TestQuadrature:
