@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (BetaNotIdentityOrConjugation, DeltaImageInconsistent,
                      DeltaImageNotDelta, EtaNotCoprime, FinalSweepViolation,
                      FixedPointViolation)
-from .groups import SNAP_FLOOR, Group, Signal, constant, delta, expectation, negation
+from .groups import SNAP_FLOOR, Group, Signal, constant, delta, expectation, negation, validated
 from .operators import (DEFAULT_TOL, AxiomReport, Operator, apply, apply_each,
                         check_identities, compose, random_values, rel_residual)
 
@@ -125,13 +125,14 @@ def classify_exchange(T: Operator, tol: float = DEFAULT_TOL, *,
     # step 4: full-signal sweep of the recovered form.  T meets no signal
     # past the first that fails: an image within tol of its target entry by
     # entry is within tol (the scale is at least 1), any other is measured
-    a = random_values(group, np.random.default_rng(seed), SWEEP_SIGNALS)
+    a = validated(random_values(group, np.random.default_rng(seed), SWEEP_SIGNALS),
+                  (SWEEP_SIGNALS, n))
     rhs = a[:, _reindex(eta, n)]
     if conjugate:
         rhs = np.conj(rhs)
     lhs = np.empty_like(a)
     for i in range(SWEEP_SIGNALS):
-        lhs[i] = apply(T, Signal(group, a[i])).values
+        lhs[i] = apply(T, Signal._view(group, a[i])).values
         if (not np.abs(lhs[i] - rhs[i]).max() <= tol
                 and not rel_residual(lhs[i], rhs[i]) <= tol):
             break
@@ -164,9 +165,10 @@ def check_involution_symmetry(T: Operator, tol: float = DEFAULT_TOL, *,
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
     group = T.group
-    a = random_values(group, np.random.default_rng(seed), samples)
+    a = validated(random_values(group, np.random.default_rng(seed), samples),
+                  (samples, group.order))
     lhs = np.empty_like(a)
     for i in range(samples):
-        lhs[i] = apply(T, apply(T, Signal(group, a[i]))).values
+        lhs[i] = apply(T, apply(T, Signal._view(group, a[i]))).values
     return check_identities(lhs, a[:, negation(group)], tol,
                             lambda i: ("T(T(a))(k) = a(-k)", (Signal(group, a[i]),)))

@@ -20,6 +20,7 @@ their character equation by the distance to that character.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -40,6 +41,7 @@ class Group:
     """Product of cyclic groups, elements indexed in mixed radix."""
 
     factors: tuple[int, ...]
+    order: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, factors: Union[int, Iterable[int]]):
         if isinstance(factors, int):
@@ -50,13 +52,7 @@ class Group:
         if any(n < 1 for n in factors):
             raise ValueError(f"moduli must be >= 1, got {factors}")
         object.__setattr__(self, "factors", factors)
-
-    @property
-    def order(self) -> int:
-        p = 1
-        for n in self.factors:
-            p *= n
-        return p
+        object.__setattr__(self, "order", math.prod(factors))
 
     @property
     def is_cyclic(self) -> bool:
@@ -96,28 +92,42 @@ class Group:
 
 @dataclass(frozen=True, eq=False)
 class Signal:
-    """Complex-valued function on a Group; values immutable, all finite."""
+    """Complex-valued function on a Group; values immutable, all finite.
+
+    Values are validated once: the constructor keeps a validated() copy, a
+    checker validates a whole (cases, order) stack and hands an operator each
+    row as a _view of it, and a black box's output is the Signal it built.
+    """
 
     group: Group
     values: np.ndarray = field(repr=False)
 
     def __init__(self, group: Group, values):
-        values = np.asarray(values, dtype=np.complex128).copy()
-        if values.shape != (group.order,):
-            raise ValueError(
-                f"expected {group.order} values for group {group.factors}, "
-                f"got shape {values.shape}")
-        finite(values).flags.writeable = False
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", values)
+        vars(self).update(group=group, values=validated(values, (group.order,)))
+
+    @classmethod
+    def _view(cls, group: Group, values: np.ndarray) -> "Signal":
+        """A Signal on values that validated() returned, or a row of them, not copied."""
+        signal = cls.__new__(cls)
+        vars(signal).update(group=group, values=values)
+        return signal
 
     def __getitem__(self, k: Element) -> complex:
         return complex(self.values[self.group.index(k)])
 
 
+def validated(values, shape: tuple, what: str = "signal values") -> np.ndarray:
+    """A private read-only complex copy of values, once its shape and finiteness are checked."""
+    values = np.array(values, dtype=np.complex128, order="C")
+    if values.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {values.shape}")
+    finite(values, what).setflags(write=False)
+    return values
+
+
 def finite(values: np.ndarray, what: str = "signal values") -> np.ndarray:
-    """values itself, after a ValueError if an entry is NaN or infinite."""
-    if not np.isfinite(values).all():
+    """values itself, after a ValueError if an entry is NaN or infinite (a count: no overflow)."""
+    if np.count_nonzero(np.isfinite(values)) != values.size:
         raise ValueError(f"{what} must be finite")
     return values
 

@@ -17,7 +17,9 @@ check and the circle-grid kernel check alike.  Every witness is the first
 failing case: the first pair in row-major order, or the first draw.  The
 sampled checkers (here and in exchange) stack their draws, products and
 convolutions and score every case in one check_identities pass; only the
-operator's own evaluations run signal by signal.
+operator's own evaluations run signal by signal.  Each stack is validated
+once (groups.validated) and the operator meets its rows as read-only views;
+its output is checked by the Signal it returns, and by nothing else.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GroupMismatch
-from .groups import Group, Signal, convolve_values, delta, finite
+from .groups import Group, Signal, convolve_values, delta, finite, validated
 
 DEFAULT_TOL = 1e-9
 
@@ -204,12 +206,7 @@ class Operator:
             raise ValueError("give exactly one of table= or evaluate=")
         self.group = group
         if table is not None:
-            table = np.asarray(table, dtype=np.complex128).copy()
-            n = group.order
-            if table.shape != (n, n):
-                raise ValueError(f"dense table must be {n}x{n}, got {table.shape}")
-            finite(table, "operator table entries")
-            table.flags.writeable = False
+            table = validated(table, (group.order,) * 2, "operator table entries")
         self.table = table
         self._evaluate = evaluate
 
@@ -261,32 +258,38 @@ class Operator:
 
 def apply(T: Operator, a: Signal) -> Signal:
     """Image of a under T; dense form is the column-weighted sum."""
-    if a.group != T.group:
+    if a.group is not T.group and a.group != T.group:
         raise GroupMismatch(
             f"operator on {T.group.factors} applied to signal on {a.group.factors}")
     if T.is_dense:
         return Signal(T.group, T.table @ a.values)
     out = T._evaluate(a)
-    if not isinstance(out, Signal) or out.group != T.group:
+    if not isinstance(out, Signal) or (out.group is not T.group and out.group != T.group):
         raise ValueError("black-box evaluator returned a signal on the wrong group")
     return out
 
 
 def compose(S: Operator, T: Operator) -> Operator:
-    """The operator a -> S(T(a)); dense composes tables."""
+    """The operator a -> S(T(a)); dense composes tables, a dense S multiplies T's image."""
     if S.group != T.group:
         raise GroupMismatch("cannot compose operators on different groups")
     if S.is_dense and T.is_dense:
         return Operator.from_table(S.group, S.table @ T.table)
+    if S.is_dense:
+        return Operator.from_function(
+            S.group, lambda a: Signal(S.group, S.table @ apply(T, a).values))
     return Operator.from_function(S.group, lambda a: apply(S, apply(T, a)))
 
 
 def apply_each(T: Operator, *stacks: np.ndarray) -> list[np.ndarray]:
-    """T's image of each (cases, order) stack, evaluated row by row across the stacks."""
+    """T's image of each (cases, order) stack, validated once, row by row across the stacks."""
+    group = T.group
+    stacks = [validated(s, (len(stacks[0]), group.order), "stacked signal values")
+              for s in stacks]
     out = [np.empty(s.shape, dtype=np.complex128) for s in stacks]
     for i in range(len(stacks[0])):
         for s, o in zip(stacks, out):
-            o[i] = apply(T, Signal(T.group, s[i])).values
+            o[i] = apply(T, Signal._view(group, s[i])).values
     return out
 
 

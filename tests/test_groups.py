@@ -4,6 +4,7 @@ import pytest
 from convalg import (Group, Operator, PhaseSpaceFunction, PlaneGrid, Signal, constant,
                      convolve, delta, dft, expectation, idft, pointwise_mul)
 from convalg.errors import GroupMismatch
+from convalg.operators import apply_each
 
 from helpers import direct_convolve, direct_dft, disc_signal
 
@@ -40,13 +41,16 @@ class TestConstruction:
             Signal(Group(2), [np.inf, 0.0])
 
     @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0),
-                                     complex(0, -np.inf), complex(-np.inf, np.nan)])
+                                     complex(0, -np.inf), complex(-np.inf, np.nan),
+                                     complex(-np.inf, 0), complex(0, np.inf)])
     def test_nonfinite_part_rejected_everywhere(self, bad):
         # complex isfinite holds only when both parts are finite
         with pytest.raises(ValueError, match="^signal values must be finite$"):
             Signal(Group(3), [1.0, bad, 2j])
         with pytest.raises(ValueError, match="^operator table entries must be finite$"):
             Operator.from_table(Group(2), [[1, 0], [bad, 1]])
+        with pytest.raises(ValueError, match="^stacked signal values must be finite$"):
+            apply_each(Operator.identity(Group(2)), [[0, 0], [0, bad]])
         with pytest.raises(ValueError, match="^table values must be finite$"):
             PhaseSpaceFunction(PlaneGrid(1.0, 2), [[0, bad], [0, 0]])
 
