@@ -10,7 +10,6 @@ or error), 2 = usage, I/O or schema problems (one `error:` line on stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import namedtuple
 from dataclasses import asdict, dataclass
@@ -24,8 +23,8 @@ from .groups import Group
 from .operators import DEFAULT_TOL, Operator, check_conv_homomorphism
 
 MAX_TABLE_BYTES = 1 << 30   # what a command may hold at its peak, in complex tables (1 GiB)
-TWISTED_TABLES = 12         # S x S tables verify-twisted holds at its peak (S = 64, 128)
-CONSTRUCT_TABLES = 29       # n x n tables construct holds at its peak: the report to
+TWISTED_TABLES = 12         # S x S tables verify-twisted holds at its peak (S = 128, 256)
+CONSTRUCT_TABLES = 13       # n x n tables construct holds at its peak: the report to
                             # stdout, the larger sink (n = 256, 512)
 
 
@@ -196,8 +195,9 @@ def run(argv=None) -> int:
         if cfg.output:
             jsonio.dump(doc, cfg.output)
         else:
-            # serialized in full first, so a NaN leaves stdout empty
-            sys.stdout.write(json.dumps(doc, **jsonio.LAYOUT) + "\n")
+            # rendered in full first, so a NaN leaves stdout empty
+            sys.stdout.writelines(jsonio.render(doc))
+            sys.stdout.write("\n")
     except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 2

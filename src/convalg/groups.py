@@ -216,12 +216,13 @@ def nearest_characters(rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def character_certified(rows, tol: float) -> np.ndarray:
+def character_certified(rows, tol: float, nearest=None) -> np.ndarray:
     """Per row of rows (r, n): True where a bound alone puts h(k + l) = h(k) h(l) within tol.
 
     The bound is min(3d + d^2, e + e^2) for the sup distance d to the nearest
     character and the sup norm e, plus a floor of 64 ulp (README, Numerical notes).
+    nearest is nearest_characters(rows), when the caller has it already.
     """
-    _, d = nearest_characters(rows)
+    _, d = nearest_characters(rows) if nearest is None else nearest
     e = np.max(np.abs(rows), axis=-1)
     return np.minimum(3 * d + d * d, e + e * e) + 64 * np.finfo(float).eps <= tol

@@ -2,14 +2,16 @@
 
 Complex arrays of any rank travel as nested lists ending in [re, im] pairs:
 pairs() encodes one, values_from_json() decodes one; report_value_to_json
-encodes every report value by one rule.  Every top-level document carries
-"schema": 1; unknown fields are rejected so fixtures double as regression
-tests.  Loaders raise SchemaError with the offending field path.
+encodes every report value by one rule, and render() writes every report's
+text in the one LAYOUT.  Every top-level document carries "schema": 1;
+unknown fields are rejected so fixtures double as regression tests.
+Loaders raise SchemaError with the offending field path.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import fields, is_dataclass
 from itertools import chain
@@ -24,7 +26,7 @@ from .torus import KernelFamily, TorusGrid
 from .twisted import PhaseSpaceFunction, PlaneGrid
 
 SCHEMA_VERSION = 1
-# the report layout: dump and the CLI's stdout write every report with it
+# the report layout: render() writes every report, to a file (dump) or to stdout, in it
 LAYOUT = {"indent": 2, "sort_keys": True, "allow_nan": False}
 
 
@@ -273,16 +275,110 @@ def construct_params_from_json(obj: Any, path: str = "$") -> dict:
     return {"kind": "intertwiner", **ints, "c": complex_from_json(obj["c"], f"{path}.c")}
 
 
-def dump(obj: dict, path: str) -> None:
-    """Deterministic serialization: sorted keys, fixed layout, trailing newline.
+# -- the report layout -------------------------------------------------------------
 
-    The document goes to a temporary file beside path, renamed over path once
-    complete, so a failed write leaves no truncated file behind.
+class _Unrendered(Exception):
+    """A value _chunks() leaves to json: a non-finite float, a non-str key, an unknown type."""
+
+
+def render(doc: Any) -> list[str]:
+    """The text of json.dumps(doc, **LAYOUT), in pieces: "".join(render(doc)) is it.
+
+    A list of finite int and float values, or a list of non-empty such
+    lists, is rendered by repr() and one str.replace per level, in C; str
+    values and keys by json's own escaper; deeper lists element by element.
+    A document holding a NaN, an infinity, a non-str key or a type json
+    does not know goes to json.dumps whole, which raises its ValueError or
+    TypeError (or renders the keys), before any piece is returned.
+    """
+    try:
+        return list(_chunks(doc, "\n"))
+    except _Unrendered:
+        return [json.dumps(doc, **LAYOUT)]
+
+
+_INDENT = " " * LAYOUT["indent"]
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _chunks(x: Any, nl: str):
+    """render()'s pieces of x, at most one list of number lists each;
+    nl is a newline and the indentation of the line x ends on.  The cases go
+    in json's order: str, the three constants, int, float, list, dict."""
+    if isinstance(x, str):
+        yield _escape(x)
+    elif x is None or x is True or x is False:
+        yield "null" if x is None else "true" if x else "false"
+    elif isinstance(x, int):
+        yield int.__repr__(x)
+    elif isinstance(x, float):
+        if not math.isfinite(x):
+            raise _Unrendered
+        yield float.__repr__(x)
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            yield "[]"
+        elif (numbers := _numbers(x, nl)) is not None:
+            yield numbers
+        else:
+            inner = nl + _INDENT
+            for i, v in enumerate(x):
+                yield ("[" if i == 0 else ",") + inner
+                yield from _chunks(v, inner)
+            yield nl + "]"
+    elif isinstance(x, dict):
+        if not x:
+            yield "{}"
+            return
+        if not all(isinstance(k, str) for k in x):
+            raise _Unrendered
+        inner = nl + _INDENT
+        for i, k in enumerate(sorted(x)):
+            yield ("{" if i == 0 else ",") + inner + _escape(k) + ": "
+            yield from _chunks(x[k], inner)
+        yield nl + "}"
+    else:
+        raise _Unrendered
+
+
+def _numbers(x: list, nl: str):
+    """x rendered at nl if it is a list of numbers or a list of non-empty lists
+    of numbers, list, int and float exactly (no tuple, no bool, no subclass,
+    whose repr differs); else None."""
+    if type(x) is not list:
+        return None
+    items, depth = x, 1
+    if set(map(type, items)) == {list} and 0 not in set(map(len, items)):
+        items, depth = list(chain.from_iterable(items)), 2
+    if not set(map(type, items)) <= {int, float}:
+        return None
+    text = repr(x)
+    if "n" in text:                     # nan or inf: no finite int or float repr holds an n
+        raise _Unrendered
+    inner, leaf = nl + _INDENT, nl + 2 * _INDENT
+    if depth == 1:
+        return "[" + inner + text[1:-1].replace(", ", "," + inner) + nl + "]"
+    # the outer commas first: a rendered separator holds no ", " for the inner ones to match
+    text = text[2:-2].replace("], [", inner + "]," + inner + "[" + leaf).replace(", ", "," + leaf)
+    return "[" + inner + "[" + leaf + text + inner + "]" + nl + "]"
+
+
+def dump(obj: dict, path: str) -> None:
+    """Deterministic serialization: render()'s text and a trailing newline.
+
+    The text goes piece by piece to a temporary file beside path, renamed
+    over path once complete, so a document that cannot be rendered or a
+    failed write leaves no file behind.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, **LAYOUT)
+            try:
+                fh.writelines(_chunks(obj, "\n"))
+            except _Unrendered:
+                fh.seek(0)
+                fh.truncate()
+                json.dump(obj, fh, **LAYOUT)
             fh.write("\n")
         os.replace(tmp, path)
     finally:

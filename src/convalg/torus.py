@@ -109,14 +109,18 @@ def recover_frequency(h: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     for h having passed the character equation.
     """
     h = np.asarray(h, dtype=np.complex128)
-    M = h.shape[0]
-    sup = float(np.max(np.abs(h)))
+    (m,), (dist,) = nearest_characters(h[None])
+    return _snap_frequency(float(np.max(np.abs(h))), int(m), float(dist), len(h), tol)
+
+
+def _snap_frequency(sup: float, m: int, dist: float, M: int, tol: float) -> int:
+    """recover_frequency's gates on a kernel of sup norm sup whose nearest
+    character, e^{2i pi m x} with m in [0, M), lies dist away in sup distance."""
     if abs(sup - 1.0) > tol:
         raise NotUnimodular(sup)
-    (m,), (dist,) = nearest_characters(h[None])
-    a = int(m) - M if m > M // 2 else int(m)
+    a = m - M if m > M // 2 else m
     if dist > tol:
-        raise SnapFailure(a, float(dist))
+        raise SnapFailure(a, dist)
     return a
 
 
@@ -138,15 +142,19 @@ def classify_torus_operator(family: KernelFamily,
     groups.character_certified or else by the check (whose violation is
     raised with the offending xi).  A passing kernel within SNAP_FLOOR * tol
     in sup norm leaves the support too (the check passes c * chi for c up to
-    about tol (1 + 2 tol)); the rest yield phi(xi) by frequency recovery,
-    whose unimodularity and snap gates carry the same floor.  The residual
-    is the distance from the kernels to the canonical ones.
+    about tol (1 + 2 tol)); the rest yield phi(xi) by recover_frequency's
+    unimodularity and snap gates, at the same floor, on the exponent and
+    distance of the family's one nearest_characters call, which also feeds
+    the bound.  The residual is the distance from the kernels to the
+    canonical ones.
     """
     support: list[int] = []
     freq_map: dict[int, int] = {}
     canonical = np.zeros_like(family.kernels)
-    for xi, h, certified in zip(family.frequencies, family.kernels,
-                                character_certified(family.kernels, tol)):
+    nearest = nearest_characters(family.kernels)        # one call serves both uses
+    for xi, h, certified, m, dist in zip(family.frequencies, family.kernels,
+                                         character_certified(family.kernels, tol, nearest),
+                                         *nearest):
         sup = float(np.max(np.abs(h)))
         if sup <= tol:                  # skips the check, as most zero kernels are exact
             continue
@@ -158,7 +166,7 @@ def classify_torus_operator(family: KernelFamily,
             continue
         try:
             # a kernel passing the check at tol lies ~2 tol off a character
-            a = recover_frequency(h, SNAP_FLOOR * tol)
+            a = _snap_frequency(sup, int(m), float(dist), family.grid.M, SNAP_FLOOR * tol)
         except (NotUnimodular, SnapFailure) as exc:
             exc.details["xi"] = xi
             raise

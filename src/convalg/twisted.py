@@ -14,6 +14,24 @@ is limited by the window truncation of f # g and by phase resolution: the
 half-frequency factors e^{i pi q (x+y)} with |x+y| up to 2L are resolved
 only when S >= (2L)^2.  verify_rho_homomorphism measures the achieved
 relative L2 error and reports the inputs' boundary decay alongside it.
+
+twisted_convolve is chirp-factored.  With x_k = -L + k h and c = S/2, the
+term f[u, t] g[a, b] of output (i, j) has u = i - a + c and t = j - b + c,
+and its phase splits as
+
+    x_i x_b - x_j x_a = -h^2 u t + (h^2 a b - 2 L h b) + (L^2 + 2 L h j + h^2 i j - 2 h^2 a j):
+
+a modulation of f's row u, one of g's row a, and an output factor.  With the
+one chirp table C[k, l] = e^{i pi h^2 k l},
+
+    G[u] = fft_N(f[u, t] conj(C[u, t])),   Y[a] = fft_N(g[a, b] C[a, b] e^{-2i pi L h b}),
+    (f # g)[i, j] = h^2 e^{i pi L^2} e^{2i pi L h j} C[i, j]
+                    sum_a conj(C[a, j])^2 ifft_N(G[i - a + c] Y[a])[j + c],
+
+at circular length N = 3S/2, over the rows with 0 <= i - a + c < S only:
+2S forward and about 3S^2/4 inverse row transforms of length N.
+rho_kernel is one matrix product and a gather: K[i, j] = h R[j - i + c, i + j]
+for R = f E, E[b, s] = e^{i pi q_b (-2L + s h)} (x_i + x_j = -2L + (i + j) h).
 """
 
 from __future__ import annotations
@@ -23,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatch
-from .groups import finite
+from .groups import validated
 
 
 @dataclass(frozen=True)
@@ -54,18 +72,15 @@ class PlaneGrid:
 
 @dataclass(frozen=True)
 class _Table:
-    """A finite S x S complex table on a PlaneGrid."""
+    """A finite S x S complex table on a PlaneGrid: a private read-only copy (groups.validated)."""
 
     grid: PlaneGrid
     values: np.ndarray = field(repr=False)
 
     def __init__(self, grid: PlaneGrid, values):
-        values = np.asarray(values, dtype=np.complex128)
-        if values.shape != (grid.side, grid.side):
-            raise ValueError(
-                f"values must be {grid.side}x{grid.side}, got {values.shape}")
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", finite(values, "table values"))
+        object.__setattr__(self, "values",
+                           validated(values, (grid.side, grid.side), "table values"))
 
 
 class PhaseSpaceFunction(_Table):
@@ -95,48 +110,58 @@ def gaussian_pair(grid: PlaneGrid) -> PhaseSpaceFunction:
     return PhaseSpaceFunction(grid, np.outer(g, g))
 
 
-def _phase_table(grid: PlaneGrid) -> np.ndarray:
-    """P[i, b] = e^{i pi x_i x_b}, the one phase table: x, y, s, t, q share an axis."""
-    return np.exp(1j * np.pi * np.outer(grid.axis, grid.axis))
-
-
 def twisted_convolve(f: PhaseSpaceFunction, g: PhaseSpaceFunction) -> PhaseSpaceFunction:
     """Left-point Riemann sum of the twisted product, zero off-window.
 
-    Evaluated exactly (to roundoff) by factoring the phase e^{i pi (x t - y s)}
-    as P[i, b] conj(P[j, a]) with the one _phase_table P, and running one
-    linear convolution along t per s-sample, at circular length 3S/2.
+    Evaluated exactly (to roundoff) by the chirp factorisation of the module
+    docstring: one linear convolution along y per pair of rows (u, a) that
+    meets the window, at circular length 3S/2.
     """
     grid = _same_grid(f, g)
-    S, h, c = grid.side, grid.step, grid.side // 2
-    P = _phase_table(grid)
-    # The rows of F are transformed once.  A linear convolution of two length-S
-    # rows has indices 0..2S-2, of which c..c+S-1 are kept; at length 3S/2 a
-    # kept index m wraps only onto m + 3S/2 >= 2S > 2S-2, where it is zero.
+    S, h, c, L = grid.side, grid.step, grid.side // 2, grid.half_width
+    k = np.arange(S)
+    C = np.exp(1j * np.pi * h * h * np.outer(k, k))
+    drift = np.exp(2j * np.pi * L * h * k)
+    # A linear convolution of two length-S rows has indices 0..2S-2, of which
+    # c..c+S-1 are kept; at length 3S/2 a kept index m wraps only onto
+    # m + 3S/2 >= 2S > 2S-2, where it is zero.
     n_fft = 3 * S // 2
-    full = np.pad(np.fft.fft(f.values, n=n_fft, axis=1), ((c, c), (0, 0)))
+    G = np.fft.fft(f.values * C.conj(), n=n_fft, axis=1)
+    Y = np.fft.fft(g.values * C * drift.conj(), n=n_fft, axis=1)
     out = np.zeros((S, S), dtype=np.complex128)
+    work = np.empty((S, n_fft), dtype=np.complex128)
     for a in range(S):
-        shifted = full[S - a:2 * S - a]                   # row i = F[i - a + c]
-        qrow = g.values[a][None, :] * P                   # (i, b)
-        conv = np.fft.ifft(shifted * np.fft.fft(qrow, n=n_fft, axis=1), axis=1)
-        out += conv[:, c:c + S] * P[:, a].conj()
-    return PhaseSpaceFunction(grid, h * h * out)
+        lo, hi = max(a - c, 0), min(a + c, S)           # the rows i with u = i - a + c in [0, S)
+        rows = np.multiply(G[lo - a + c:hi - a + c], Y[a], out=work[:hi - lo])
+        kept = np.fft.ifft(rows, axis=1, out=rows)[:, c:c + S]
+        kept *= C[a].conj() ** 2
+        out[lo:hi] += kept
+    del G, Y, work                  # before the output's validated copy: the peak
+    out *= C
+    out *= h * h * np.exp(1j * np.pi * L * L) * drift
+    return PhaseSpaceFunction(grid, out)
 
 
 def rho_kernel(f: PhaseSpaceFunction) -> OperatorKernel:
     """K_f(x, y) = h sum_q f(y - x, q) e^{i pi q (x + y)}, zero off-window.
 
-    The phase is P[i, b] P[j, b] with the one _phase_table P: S^2 exponentials.
+    The sum depends on y - x through f's row and on x + y through the phase,
+    so it is one product R = f E over every x + y on the grid, and row i of K
+    gathers a diagonal of R.
     """
     grid = f.grid
     S, h, c = grid.side, grid.step, grid.side // 2
-    P = _phase_table(grid)
-    full = np.pad(f.values, ((c, c), (0, 0)))
-    K = np.empty((S, S), dtype=np.complex128)
+    E = np.exp(1j * np.pi * np.outer(grid.axis, -2.0 * grid.half_width
+                                     + h * np.arange(2 * S - 1)))
+    R = (f.values @ E).ravel()            # R[m, s] at m (2S - 1) + s
+    del E                                 # before K: the peak
+    K = np.zeros((S, S), dtype=np.complex128)
     for i in range(S):
-        rows = full[S - i:2 * S - i]                         # row j = f[j - i + c]
-        K[i] = h * ((rows * P) @ P[i])
+        lo, hi = max(i - c, 0), min(i + c, S)           # the j with m = j - i + c in [0, S)
+        # (m, s) = (j - i + c, i + j) steps by (1, 1), that is 2S, along a row of K
+        start = (lo - i + c) * (2 * S - 1) + i + lo
+        K[i, lo:hi] = R[start:start + 2 * S * (hi - lo):2 * S]
+    K *= h
     return OperatorKernel(grid, K)
 
 
@@ -168,8 +193,10 @@ def verify_rho_homomorphism(f: PhaseSpaceFunction,
                             g: PhaseSpaceFunction) -> RhoHomReport:
     """Relative L2 distance between the kernels of rho(f # g) and rho(f) rho(g)."""
     try:
+        rho_f = rho_kernel(f)
+        rho_g = rho_f if g is f else rho_kernel(g)      # f # f, the CLI's synthesized case
         error = relative_l2(rho_kernel(twisted_convolve(f, g)).values,
-                            compose_kernels(rho_kernel(f), rho_kernel(g)).values)
+                            compose_kernels(rho_f, rho_g).values)
     except ValueError:      # a table on the way overflowed: NaN, too large to measure
         error = np.nan
     return RhoHomReport(error, f.boundary_ring_max(), g.boundary_ring_max(),

@@ -2,27 +2,59 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_report_bytes_on_fixtures(tmp_path):
+@pytest.fixture(scope="module")
+def fixture_runs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("report-bytes")
     subprocess.run([sys.executable, str(ROOT / "tools" / "report_bytes.py"), str(ROOT),
-                    str(tmp_path), "--seeds"], check=True, timeout=60)
-    runs = sorted((tmp_path / "fixtures").iterdir())
-    assert len(runs) == 7 * len(list((ROOT / "fixtures").glob("*.json")))
-    assert [p.name for p in tmp_path.iterdir()] == ["fixtures"]
-    for path in runs:
-        text = path.read_text(encoding="utf-8")
-        assert str(ROOT) not in text
-        assert text.splitlines()[1] in ("exit: 0", "exit: 1", "exit: 2")
-    text = (tmp_path / "fixtures" / "dft_n8-classify-conv.txt").read_text(encoding="utf-8")
+                    str(out), "--seeds"], check=True, timeout=60)
+    return out
+
+
+def test_report_bytes_on_fixtures(fixture_runs):
+    assert sorted(p.name for p in fixture_runs.iterdir()) == ["fixtures", "fixtures-stdout"]
+    for sink in ("fixtures", "fixtures-stdout"):
+        runs = sorted((fixture_runs / sink).iterdir())
+        assert len(runs) == 7 * len(list((ROOT / "fixtures").glob("*.json")))
+        for path in runs:
+            text = path.read_text(encoding="utf-8")
+            assert str(ROOT) not in text
+            assert text.splitlines()[1] in ("exit: 0", "exit: 1", "exit: 2")
+    text = (fixture_runs / "fixtures" / "dft_n8-classify-conv.txt").read_text(encoding="utf-8")
     assert "exit: 0\n" in text and '"input": "<checkout>/fixtures/dft_n8.json"' in text
+
+
+def sections(path: pathlib.Path) -> dict:
+    """The argv, exit, stdout, stderr and report sections of one recorded run."""
+    text = path.read_text(encoding="utf-8")
+    argv, exit_, rest = text.split("\n", 2)
+    stdout, rest = rest.removeprefix("stdout:\n").split("stderr:\n", 1)
+    stderr, report = rest.split("report:\n", 1)
+    return {"argv": argv, "exit": exit_, "stdout": stdout, "stderr": stderr, "report": report}
+
+
+def test_stdout_report_equals_file_report(fixture_runs):
+    # the same bytes on both sinks, but for the config's "output", which names the sink
+    reports = 0
+    for path in sorted((fixture_runs / "fixtures").iterdir()):
+        to_file, to_stdout = sections(path), sections(fixture_runs / "fixtures-stdout" / path.name)
+        assert (to_file["exit"], to_file["stderr"]) == (to_stdout["exit"], to_stdout["stderr"])
+        assert to_file["stdout"] == to_stdout["report"] == ""
+        expected = to_file["report"].replace('"output": "<work>/report.json"', '"output": null')
+        assert to_stdout["stdout"] == expected, path.name
+        reports += to_file["exit"] != "exit: 2"
+    assert reports >= len(list((ROOT / "fixtures").glob("*.json")))    # one per fixture at least
 
 
 def test_report_bytes_on_workload_seed(tmp_path):
     subprocess.run([sys.executable, str(ROOT / "tools" / "report_bytes.py"), str(ROOT),
                     str(tmp_path), "--seeds", "3"], check=True, timeout=120)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["fixtures", "seed3", "signal-algebra"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fixtures", "fixtures-stdout", "seed3", "signal-algebra"]
     assert all(p.read_text(encoding="utf-8").splitlines()[1] in ("exit: 0", "exit: 1", "exit: 2")
                for p in (tmp_path / "seed3").iterdir())
     assert [p.name for p in (tmp_path / "signal-algebra").iterdir()] == ["seed3.txt"]

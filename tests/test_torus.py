@@ -11,7 +11,7 @@ from convalg import (TorusGrid, check_character_equation,
 from convalg.errors import (CharacterEquationViolation, NotUnimodular,
                             SnapFailure)
 from convalg import torus
-from convalg.groups import character_certified
+from convalg.groups import character_certified, nearest_characters
 from convalg.torus import KernelFamily, character
 
 sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
@@ -290,6 +290,26 @@ class TestCertifiedWork:
         assert list(cls.support) == want["support"]
         assert [list(p) for p in cls.freq_map.items()] == want["freq_map"]
         assert seen == []
+
+    @pytest.mark.parametrize("broken", [None, "perturbed-sample"])
+    def test_one_nearest_characters_call_per_family(self, monkeypatch, broken):
+        # the certificate and frequency recovery share the family's exponents and distances
+        calls = []
+
+        def counting(rows):
+            calls.append(np.shape(rows))
+            return nearest_characters(rows)
+
+        monkeypatch.setattr(torus, "nearest_characters", counting)
+        M, N = 256, 32
+        kernels, (_, want) = workloads.torus_case(np.random.default_rng(7), M, N, broken, N + 1)
+        family = KernelFamily(TorusGrid(M), N, kernels)
+        if broken is None:
+            assert list(classify_torus_operator(family).support) == want["support"]
+        else:
+            with pytest.raises(CharacterEquationViolation):
+                classify_torus_operator(family)
+        assert calls == [(2 * N + 1, M)]
 
     @pytest.mark.parametrize("broken", ["perturbed-sample", "half-frequency"])
     def test_broken_family_runs_the_exact_check_once(self, monkeypatch, broken):

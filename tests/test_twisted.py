@@ -50,6 +50,8 @@ def direct_rho_kernel(f):
 # S = 2 is the smallest circular length 3S/2 = 3; L = 7.5 puts phase arguments
 # in the hundreds of radians
 ORACLE_GRIDS = [(0.5, 2), (1.5, 6), (4.0, 16), (7.5, 12)]
+# the smallest sides, each once with S >= (2L)^2 and once under-resolved
+SMALL_GRIDS = [(L, S) for S in (2, 4, 6, 10) for L in (0.45 * np.sqrt(S), 2.0 + S / 4)]
 
 
 def displaced_gaussian(grid, dx, dy):
@@ -107,6 +109,16 @@ class TestTwistedConvolve:
         fast = twisted_convolve(f, g).values
         slow = direct_twisted_convolve(f, g)
         assert np.max(np.abs(fast - slow)) <= 1e-12
+
+    @pytest.mark.parametrize("L, S", SMALL_GRIDS)
+    def test_matches_direct_sum_on_small_grids(self, L, S):
+        # every row pair (u, a), the window edges and both sides of the phase resolution
+        grid = PlaneGrid(L, S)
+        rng = np.random.default_rng(S)
+        f, g = (PhaseSpaceFunction(grid, rng.normal(size=(S, S)) + 1j * rng.normal(size=(S, S)))
+                for _ in range(2))
+        assert grid.resolves_phases() == (L < np.sqrt(S) / 2)
+        assert np.max(np.abs(twisted_convolve(f, g).values - direct_twisted_convolve(f, g))) <= 1e-12
 
     def test_refinement_convergence(self):
         # doubled resolution restricted to the coarse grid agrees closely
@@ -195,7 +207,7 @@ class TestRhoKernel:
         assert np.allclose(np.diag(K), np.full(S, 1.0 / h))
         assert np.max(np.abs(K - np.diag(np.diag(K)))) == 0.0
 
-    @pytest.mark.parametrize("L, S", ORACLE_GRIDS)
+    @pytest.mark.parametrize("L, S", ORACLE_GRIDS + SMALL_GRIDS)
     def test_matches_direct_sum(self, L, S):
         grid = PlaneGrid(L, S)
         rng = np.random.default_rng(1)
@@ -272,7 +284,33 @@ class TestComposeKernels:
         assert np.max(np.abs(direct - via_kernel)) <= 1e-10
 
 
+class TestTable:
+    def test_values_are_a_private_read_only_copy(self):
+        grid = PlaneGrid(1.0, 2)
+        arr = np.zeros((2, 2), dtype=complex)
+        for table in (PhaseSpaceFunction(grid, arr), OperatorKernel(grid, arr)):
+            arr[0, 0] = np.nan
+            assert np.isfinite(table.values).all()
+            with pytest.raises(ValueError):
+                table.values[0, 0] = 1.0
+            arr[0, 0] = 0.0
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="table values must have shape"):
+            PhaseSpaceFunction(PlaneGrid(1.0, 2), np.zeros((2, 3)))
+
+
 class TestHomomorphism:
+    def test_same_input_equals_a_copy(self):
+        # verify reuses rho(f) for g when g is f; the report is the same bits
+        grid = PlaneGrid(3.0, 32)
+        rng = np.random.default_rng(5)
+        f = PhaseSpaceFunction(grid, displaced_gaussian(grid, 0.5, -1.0).values
+                               * np.exp(1j * rng.uniform(0, 2 * np.pi, (32, 32))))
+        copy = PhaseSpaceFunction(grid, f.values)
+        assert copy.values is not f.values
+        assert verify_rho_homomorphism(f, f) == verify_rho_homomorphism(f, copy)
+
     def test_zero_inputs(self):
         grid = PlaneGrid(4.0, 16)
         z = PhaseSpaceFunction(grid, np.zeros((16, 16)))

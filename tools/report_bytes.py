@@ -3,17 +3,18 @@
 
     python3 tools/report_bytes.py CHECKOUT OUTDIR [--seeds 1 2]
 
-Runs all seven commands on every bundled fixture of CHECKOUT, then, for each
-seed (`--seeds` with no value runs the fixtures only), the requests that
-`perfbench/workloads.py` generates: `cli_workload`'s commands and
-`signal_algebra`'s library calls.  Each CLI run goes in-process through
+Runs all seven commands on every bundled fixture of CHECKOUT, once with
+`--output` (OUTDIR/fixtures) and once to stdout (OUTDIR/fixtures-stdout),
+then, for each seed (`--seeds` with no value runs the fixtures only), the
+requests that `perfbench/workloads.py` generates: `cli_workload`'s commands
+and `signal_algebra`'s library calls.  Each CLI run goes in-process through
 `convalg.cli.run` of CHECKOUT and leaves one file in OUTDIR holding its
-argv, exit code, stderr and report, with the checkout and work-directory
-paths replaced by `<checkout>` and `<work>`.  The library calls of one seed
-go to one file, a block per request: its verdict against the workload's
-known answer and its outcome (`describe`).  Running it on two checkouts and
-`diff -r` of the two OUTDIRs shows every report byte and every library
-outcome that differs.
+argv, exit code, stdout, stderr and report file, with the checkout and
+work-directory paths replaced by `<checkout>` and `<work>`.  The library
+calls of one seed go to one file, a block per request: its verdict against
+the workload's known answer and its outcome (`describe`).  Running it on two
+checkouts and `diff -r` of the two OUTDIRs shows every report byte and every
+library outcome that differs.
 """
 
 from __future__ import annotations
@@ -88,8 +89,10 @@ def main(argv=None) -> int:
 
         for fixture in sorted((checkout / "fixtures").glob("*.json")):
             for command in COMMANDS:
-                record(args.outdir / "fixtures" / f"{fixture.stem}-{command}.txt",
-                       [command, "--input", str(fixture), "--output", report])
+                argv = [command, "--input", str(fixture)]
+                name = f"{fixture.stem}-{command}.txt"
+                record(args.outdir / "fixtures" / name, argv + ["--output", report])
+                record(args.outdir / "fixtures-stdout" / name, argv)
 
         if args.seeds:
             import workloads
