@@ -96,7 +96,8 @@ class Signal:
 
     Values are validated once: the constructor keeps a validated() copy, a
     checker validates a whole (cases, order) stack and hands an operator each
-    row as a _view of it, and a black box's output is the Signal it built.
+    row as a _view of it, a black box's output is the Signal it built, and
+    the transforms and products here check their fresh result in place.
     """
 
     group: Group
@@ -132,6 +133,12 @@ def finite(values: np.ndarray, what: str = "signal values") -> np.ndarray:
     return values
 
 
+def _computed(group: Group, values: np.ndarray) -> Signal:
+    """A Signal on a complex (order,) array just computed here: checked and frozen in place."""
+    finite(values).setflags(write=False)
+    return Signal._view(group, values)
+
+
 def _same_group(f: Signal, g: Signal) -> Group:
     if f.group != g.group:
         raise GroupMismatch(
@@ -159,13 +166,13 @@ def expectation(a: Signal) -> complex:
 def pointwise_mul(f: Signal, g: Signal) -> Signal:
     """Entrywise product f.g."""
     _same_group(f, g)
-    return Signal(f.group, f.values * g.values)
+    return _computed(f.group, f.values * g.values)
 
 
 def convolve(f: Signal, g: Signal) -> Signal:
     """(f * g)(x) = sum_t f(t) g(x - t), the group difference taken per factor."""
     group = _same_group(f, g)
-    return Signal(group, convolve_values(f.values, g.values, group))
+    return _computed(group, convolve_values(f.values, g.values, group))
 
 
 def convolve_values(f: np.ndarray, g: np.ndarray, group: Group) -> np.ndarray:
@@ -183,12 +190,12 @@ def negation(group: Group) -> np.ndarray:
 
 def dft(f: Signal) -> Signal:
     """Transform fhat(eta) = sum_k f(k) e^{-2i pi <k, eta>}."""
-    return Signal(f.group, np.fft.fftn(f.values.reshape(f.group.factors)).ravel())
+    return _computed(f.group, np.fft.fftn(f.values.reshape(f.group.factors)).ravel())
 
 
 def idft(f: Signal) -> Signal:
     """Inverse transform, (1/order) sum with the opposite phase sign."""
-    return Signal(f.group, np.fft.ifftn(f.values.reshape(f.group.factors)).ravel())
+    return _computed(f.group, np.fft.ifftn(f.values.reshape(f.group.factors)).ravel())
 
 
 def unit_roots(e, n: int) -> np.ndarray:

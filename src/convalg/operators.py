@@ -117,10 +117,13 @@ def character_residuals(rows: np.ndarray, group: Group) -> np.ndarray:
 
 
 def distinct_rows(rows) -> np.ndarray:
-    """The rows of a 2-d array that differ bit for bit, each once, in their order."""
+    """The rows of a 2-d array that differ bit for bit, each once, in their order.
+
+    When every row is distinct, that is the (contiguous complex) input itself.
+    """
     rows = np.ascontiguousarray(rows, dtype=np.complex128)
     _, first = np.unique(rows.view(np.dtype((np.void, rows[0].nbytes))), return_index=True)
-    return rows[np.sort(first)]
+    return rows if len(first) == len(rows) else rows[np.sort(first)]
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import math
 import pathlib
@@ -10,7 +11,7 @@ from convalg import cli, errors, jsonio, torus
 from convalg.cli import run
 from convalg.groups import Group
 from convalg.intertwine import construct_intertwiner
-from convalg.operators import AxiomReport
+from convalg.operators import AxiomReport, Operator
 
 from helpers import CRASH_CASES, edited_fixture
 
@@ -584,3 +585,84 @@ class TestUnitaryFlag:
         rep = read(out)
         assert rep["config"]["unitary"] is True
         assert rep["result"]["passed"] is False
+
+
+@pytest.fixture
+def collector():
+    """gc's state before the test, restored after it whatever the test left."""
+    enabled = gc.isenabled()
+    yield enabled
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPaused:
+    """A command runs with the cyclic collector off; run restores what it found."""
+
+    # what the spy command returns or raises, and run's exit code (None: it raises)
+    OUTCOMES = {
+        "exit 0": (({"ok": True}, True), 0),
+        "exit 1": (({"ok": False}, False), 1),
+        "rejection": (errors.SnapFailure(1, 0.5), 1),
+        "exit 2": (ValueError("bad input"), 2),
+        "exception": (RuntimeError("bug"), None),
+    }
+
+    @pytest.mark.parametrize("caller_enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    def test_state_restored_on_every_exit(self, tmp_path, monkeypatch, capsys, collector,
+                                          outcome, caller_enabled):
+        result, code = self.OUTCOMES[outcome]
+        seen = []
+
+        def spy(cfg):
+            seen.append(gc.isenabled())
+            if isinstance(result, Exception):
+                raise result
+            return result
+
+        spec = cli.COMMANDS["classify-conv"]
+        monkeypatch.setitem(cli.COMMANDS, "classify-conv", spec._replace(run=spy))
+        (gc.enable if caller_enabled else gc.disable)()
+        argv = ["classify-conv", "--input", "in.json", "--output", str(tmp_path / "r.json")]
+        if code is None:
+            with pytest.raises(RuntimeError, match="bug"):
+                run(argv)
+        else:
+            assert run(argv) == code
+        assert seen == [False]
+        assert gc.isenabled() is caller_enabled
+
+    @pytest.mark.parametrize("caller_enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("argv", [["--help"], ["classify-conv", "--help"], ["bogus"]],
+                             ids=["help", "command help", "usage error"])
+    def test_state_restored_after_the_parser_exits(self, capsys, collector, argv,
+                                                   caller_enabled):
+        (gc.enable if caller_enabled else gc.disable)()
+        if argv[-1] == "--help":
+            with pytest.raises(SystemExit) as exit_:
+                run(argv)
+            assert exit_.value.code == 0
+        else:
+            assert run(argv) == 2
+        assert gc.isenabled() is caller_enabled
+
+    def test_no_collection_inside_a_dense_command(self, tmp_path, collector):
+        # the decoded 128 x 128 operator is 16,384 [re, im] lists, each of
+        # which used to count towards the next generation-0 pass
+        path = tmp_path / "dft128.json"
+        jsonio.dump(jsonio.operator_to_json(Operator.dft(Group(128))), str(path))
+        gc.enable()
+        started = []
+
+        def watch(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.callbacks.append(watch)
+        try:
+            assert run(["classify-conv", "--input", str(path),
+                        "--output", str(tmp_path / "r.json")]) == 0
+        finally:
+            gc.callbacks.remove(watch)
+        assert started == []
+        assert gc.isenabled()

@@ -170,6 +170,25 @@ class TestFiniteness:
         assert a.values[0] == 0 and T.table[0, 0] == 1
         assert not a.values.flags.writeable and not T.table.flags.writeable
 
+    @pytest.mark.parametrize("op, reference", [
+        (groups.dft, lambda v: np.fft.fftn(v.reshape(3, 4)).ravel()),
+        (groups.idft, lambda v: np.fft.ifftn(v.reshape(3, 4)).ravel()),
+        (lambda a: groups.convolve(a, a), lambda v: groups.convolve_values(v, v, Group((3, 4)))),
+        (lambda a: groups.pointwise_mul(a, a), lambda v: v * v),
+    ], ids=["dft", "idft", "convolve", "pointwise_mul"])
+    def test_computed_signals_are_checked_and_frozen_in_place(self, op, reference,
+                                                              validations):
+        a = Signal(Group((3, 4)), random_values(Group(12), np.random.default_rng(2), 1)[0])
+        validations.clear()
+        out = op(a)
+        assert validations == []
+        assert out.values.tobytes() == reference(a.values).tobytes()
+        assert not out.values.flags.writeable
+        huge = Signal(Group((3, 4)), np.full(12, 1e308))
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="^signal values must be finite$"):
+                op(huge)
+
     def test_tables_are_copied_in_row_order(self):
         # a column-ordered table would send T.table @ x through another BLAS
         # kernel, whose sums round differently

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convalg import twisted
 from convalg.errors import GridMismatch
 from convalg.twisted import (OperatorKernel, PhaseSpaceFunction, PlaneGrid,
                              compose_kernels, gaussian_pair, relative_l2,
@@ -301,15 +302,28 @@ class TestTable:
 
 
 class TestHomomorphism:
-    def test_same_input_equals_a_copy(self):
-        # verify reuses rho(f) for g when g is f; the report is the same bits
+    def test_same_input_equals_a_copy(self, monkeypatch):
+        # verify reuses rho(f) for a g with f's bits; the report is the same bits
         grid = PlaneGrid(3.0, 32)
         rng = np.random.default_rng(5)
         f = PhaseSpaceFunction(grid, displaced_gaussian(grid, 0.5, -1.0).values
                                * np.exp(1j * rng.uniform(0, 2 * np.pi, (32, 32))))
         copy = PhaseSpaceFunction(grid, f.values)
         assert copy.values is not f.values
+        calls = []
+
+        def counting(table):
+            calls.append(table)
+            return rho_kernel(table)
+
+        monkeypatch.setattr(twisted, "rho_kernel", counting)
         assert verify_rho_homomorphism(f, f) == verify_rho_homomorphism(f, copy)
+        assert len(calls) == 4              # rho(f # g) and rho(f), per call
+        # equal values with other bits: -0.0 is not 0.0
+        zeros = np.zeros((32, 32))
+        verify_rho_homomorphism(PhaseSpaceFunction(grid, zeros),
+                                PhaseSpaceFunction(grid, -zeros))
+        assert len(calls) == 7
 
     def test_zero_inputs(self):
         grid = PlaneGrid(4.0, 16)
