@@ -13,8 +13,6 @@ import argparse
 import gc
 import sys
 from collections import namedtuple
-from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,21 +26,21 @@ TWISTED_TABLES = 12         # S x S tables verify-twisted holds at its peak (S =
 CONSTRUCT_TABLES = 13       # n x n tables construct holds at its peak: the report to
                             # stdout, the larger sink (n = 256, 512)
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input: Optional[str] = None
-    output: Optional[str] = None
-    n: Optional[int] = None
-    tol: float = DEFAULT_TOL
-    seed: int = 0
-    unitary: bool = False
-    mode: str = "basis"
-    samples: int = 64
-    variant: str = "direct"
-    grid_S: int = 64
-    grid_L: float = 4.0
+# argparse keywords per option; a command runs with, and echoes, the defaults of the rest
+OPTIONS = {
+    "--input": {"default": None, "help": "input JSON path"},
+    "--output": {"default": None, "help": "report JSON path (default: stdout)"},
+    "--n": {"default": None, "type": int, "help": "expected group order (validated)"},
+    "--tol": {"default": DEFAULT_TOL, "type": float, "help": "tolerance (default %(default)g)"},
+    "--seed": {"default": 0, "type": int}, "--samples": {"default": 64, "type": int},
+    "--unitary": {"default": False, "action": "store_true",
+                  "help": "pre-scale the loaded operator by 1/sqrt(n)"},
+    "--mode": {"default": "basis", "choices": ("basis", "sampled")},
+    "--variant": {"default": "direct", "choices": ("direct", "fourier")},
+    "--grid-S": {"default": 64, "type": int}, "--grid-L": {"default": 4.0, "type": float},
+}
+DEFAULTS = {option[2:].replace("-", "_"): kw["default"] for option, kw in OPTIONS.items()}
+RunConfig = namedtuple("RunConfig", ["command", *DEFAULTS])
 
 
 def _load_operator(cfg: RunConfig) -> Operator:
@@ -102,20 +100,7 @@ def _construct(cfg: RunConfig):
 # returns (result payload, passed flag) and looks library functions up when it
 # runs, so that a function patched in its module is the one run.
 Command = namedtuple("Command", "help run options needs_input bare_report tol",
-                     defaults=(True, False, RunConfig.tol))
-
-# argparse keywords per option; the default is the command's RunConfig value
-OPTIONS = {
-    "--input": {"help": "input JSON path"},
-    "--output": {"help": "report JSON path (default: stdout)"},
-    "--n": {"type": int, "help": "expected group order (validated)"},
-    "--tol": {"type": float, "help": "tolerance (default %(default)g)"},
-    "--unitary": {"action": "store_true",
-                  "help": "pre-scale the loaded operator by 1/sqrt(n)"},
-    "--seed": {"type": int}, "--samples": {"type": int}, "--grid-S": {"type": int},
-    "--grid-L": {"type": float}, "--mode": {"choices": ("basis", "sampled")},
-    "--variant": {"choices": ("direct", "fourier")},
-}
+                     defaults=(True, False, DEFAULT_TOL))
 OPERATOR = ("--n", "--tol", "--unitary")     # read by _load_operator and the classifier
 
 COMMANDS = {
@@ -159,11 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "canonical transform forms, or report a concrete violation.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in COMMANDS.items():
-        defaults = asdict(RunConfig(name, tol=spec.tol))
         p = sub.add_parser(name, help=spec.help)
         for option in ("--input", "--output") + spec.options:
             p.add_argument(option, required=option == "--input" and spec.needs_input,
-                           default=defaults[option[2:].replace("-", "_")], **OPTIONS[option])
+                           **OPTIONS[option])
+        p.set_defaults(**{**DEFAULTS, "tol": spec.tol})     # --tol's help shows spec.tol
     return parser
 
 
@@ -207,7 +192,7 @@ def _run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = (report["result"] if command.bare_report
-           else {"schema": jsonio.SCHEMA_VERSION, "config": asdict(cfg), **report})
+           else {"schema": jsonio.SCHEMA_VERSION, "config": cfg._asdict(), **report})
     try:
         if cfg.output:
             jsonio.dump(doc, cfg.output)

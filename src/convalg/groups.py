@@ -134,7 +134,7 @@ def finite(values: np.ndarray, what: str = "signal values") -> np.ndarray:
 
 
 def _computed(group: Group, values: np.ndarray) -> Signal:
-    """A Signal on a complex (order,) array just computed here: checked and frozen in place."""
+    """A Signal on an (order,) array computed here, under np.errstate: checked, frozen in place."""
     finite(values).setflags(write=False)
     return Signal._view(group, values)
 
@@ -163,12 +163,14 @@ def expectation(a: Signal) -> complex:
     return complex(np.sum(a.values))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pointwise_mul(f: Signal, g: Signal) -> Signal:
     """Entrywise product f.g."""
     _same_group(f, g)
     return _computed(f.group, f.values * g.values)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def convolve(f: Signal, g: Signal) -> Signal:
     """(f * g)(x) = sum_t f(t) g(x - t), the group difference taken per factor."""
     group = _same_group(f, g)
@@ -188,11 +190,13 @@ def negation(group: Group) -> np.ndarray:
     return np.roll(np.flip(idx), 1, axis=tuple(range(idx.ndim))).ravel()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def dft(f: Signal) -> Signal:
     """Transform fhat(eta) = sum_k f(k) e^{-2i pi <k, eta>}."""
     return _computed(f.group, np.fft.fftn(f.values.reshape(f.group.factors)).ravel())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def idft(f: Signal) -> Signal:
     """Inverse transform, (1/order) sum with the opposite phase sign."""
     return _computed(f.group, np.fft.ifftn(f.values.reshape(f.group.factors)).ravel())
@@ -223,13 +227,13 @@ def nearest_characters(rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def character_certified(rows, tol: float, nearest=None) -> np.ndarray:
+def character_certified(rows, tol: float, nearest) -> np.ndarray:
     """Per row of rows (r, n): True where a bound alone puts h(k + l) = h(k) h(l) within tol.
 
     The bound is min(3d + d^2, e + e^2) for the sup distance d to the nearest
-    character and the sup norm e, plus a floor of 64 ulp (README, Numerical notes).
-    nearest is nearest_characters(rows), when the caller has it already.
+    character and the sup norm e, plus a floor of 64 ulp (README, Numerical notes);
+    nearest is nearest_characters(rows).
     """
-    _, d = nearest_characters(rows) if nearest is None else nearest
+    _, d = nearest
     e = np.max(np.abs(rows), axis=-1)
     return np.minimum(3 * d + d * d, e + e * e) + 64 * np.finfo(float).eps <= tol

@@ -39,10 +39,7 @@ def _require_fields(obj: Mapping, required: set, path: str) -> None:
     unknown = obj.keys() - required
     if unknown:
         raise SchemaError(f"unknown field(s) {sorted(unknown)}", path)
-
-
-def _check_schema(obj: Mapping, path: str) -> None:
-    if obj.get("schema") != SCHEMA_VERSION:
+    if "schema" in required and obj["schema"] != SCHEMA_VERSION:
         raise SchemaError(f"expected \"schema\": {SCHEMA_VERSION}", path)
 
 
@@ -61,18 +58,6 @@ def _ints_from_json(v: Any, path: str) -> list[int]:
     if not isinstance(v, list):
         raise SchemaError("expected a list of integers", path)
     return [_int_from_json(x, f"{path}[{i}]") for i, x in enumerate(v)]
-
-
-def complex_from_json(v: Any, path: str) -> complex:
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(_is_number(x) for x in v)):
-        raise SchemaError("complex values are [re, im] pairs", path)
-    try:
-        if np.isfinite(z := complex(v[0], v[1])):
-            return z
-    except OverflowError:                   # an integer literal beyond float range
-        pass
-    raise SchemaError("values must be finite (a literal overflowed)", path)
 
 
 def pairs(values) -> list:
@@ -105,12 +90,19 @@ def values_from_json(v: Any, path: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _decode(v: Any, path: str, shape: tuple[int, ...]) -> Any:
-    if not shape:
-        return complex_from_json(v, path)
-    if not isinstance(v, list) or len(v) != shape[0]:
-        got = f"length {len(v)}" if isinstance(v, list) else type(v).__name__
-        raise SchemaError(f"expected a list of length {shape[0]}, got {got}", path)
-    return [_decode(x, f"{path}[{i}]", shape[1:]) for i, x in enumerate(v)]
+    if shape:
+        if not isinstance(v, list) or len(v) != shape[0]:
+            got = f"length {len(v)}" if isinstance(v, list) else type(v).__name__
+            raise SchemaError(f"expected a list of length {shape[0]}, got {got}", path)
+        return [_decode(x, f"{path}[{i}]", shape[1:]) for i, x in enumerate(v)]
+    if not isinstance(v, list) or len(v) != 2 or not all(_is_number(x) for x in v):
+        raise SchemaError("complex values are [re, im] pairs", path)
+    try:
+        if np.isfinite(z := complex(v[0], v[1])):
+            return z
+    except OverflowError:                   # an integer literal beyond float range
+        pass
+    raise SchemaError("values must be finite (a literal overflowed)", path)
 
 
 # -- signals and operators ----------------------------------------------------
@@ -134,7 +126,6 @@ def operator_to_json(T: Operator) -> dict:
 
 def operator_from_json(obj: Any, path: str = "$") -> Operator:
     _require_fields(obj, {"schema", "group", "columns"}, path)
-    _check_schema(obj, path)
     group = Group(_ints_from_json(obj["group"], f"{path}.group"))
     n = group.order
     columns = values_from_json(obj["columns"], f"{path}.columns", (n, n))
@@ -186,7 +177,6 @@ def kernel_family_to_json(fam: KernelFamily) -> dict:
 
 def kernel_family_from_json(obj: Any, path: str = "$") -> KernelFamily:
     _require_fields(obj, {"schema", "M", "N", "kernels"}, path)
-    _check_schema(obj, path)
     grid = TorusGrid(_int_from_json(obj["M"], f"{path}.M"))
     N = _int_from_json(obj["N"], f"{path}.N")
     if N < 0:
@@ -207,14 +197,20 @@ def kernel_family_from_json(obj: Any, path: str = "$") -> KernelFamily:
 
 
 def phase_space_to_json(f: PhaseSpaceFunction) -> dict:
-    return {"schema": SCHEMA_VERSION,
-            "L": f.grid.half_width, "S": f.grid.side,
-            "values": pairs(f.values)}
+    return {"schema": SCHEMA_VERSION, **_phase_space_fields(f)}
+
+
+def _phase_space_fields(f: PhaseSpaceFunction) -> dict:
+    return {"L": f.grid.half_width, "S": f.grid.side, "values": pairs(f.values)}
 
 
 def phase_space_from_json(obj: Any, path: str = "$") -> PhaseSpaceFunction:
     _require_fields(obj, {"schema", "L", "S", "values"}, path)
-    _check_schema(obj, path)
+    return _phase_space_from_fields(obj, path)
+
+
+def _phase_space_from_fields(obj: dict, path: str) -> PhaseSpaceFunction:
+    """The function an object with exactly the fields L, S and values holds."""
     if not _is_number(obj["L"]):
         raise SchemaError("expected a number", f"{path}.L")
     try:
@@ -227,23 +223,15 @@ def phase_space_from_json(obj: Any, path: str = "$") -> PhaseSpaceFunction:
 
 
 def pair_to_json(f: PhaseSpaceFunction, g: PhaseSpaceFunction) -> dict:
-    return {"schema": SCHEMA_VERSION,
-            "f": _strip_schema(phase_space_to_json(f)),
-            "g": _strip_schema(phase_space_to_json(g))}
+    return {"schema": SCHEMA_VERSION, "f": _phase_space_fields(f), "g": _phase_space_fields(g)}
 
 
 def pair_from_json(obj: Any, path: str = "$") -> tuple[PhaseSpaceFunction, PhaseSpaceFunction]:
     _require_fields(obj, {"schema", "f", "g"}, path)
-    _check_schema(obj, path)
-    for key in ("f", "g"):
+    for key in ("f", "g"):      # both field sets are checked before any value is decoded
         _require_fields(obj[key], {"L", "S", "values"}, f"{path}.{key}")
-    f = phase_space_from_json({**obj["f"], "schema": SCHEMA_VERSION}, f"{path}.f")
-    g = phase_space_from_json({**obj["g"], "schema": SCHEMA_VERSION}, f"{path}.g")
-    return f, g
-
-
-def _strip_schema(obj: dict) -> dict:
-    return {k: v for k, v in obj.items() if k != "schema"}
+    return (_phase_space_from_fields(obj["f"], f"{path}.f"),
+            _phase_space_from_fields(obj["g"], f"{path}.g"))
 
 
 # -- construct-command parameter documents ---------------------------------------
@@ -254,7 +242,6 @@ def construct_params_from_json(obj: Any, path: str = "$") -> dict:
         raise SchemaError("expected an object", path)
     if "support" in obj:
         _require_fields(obj, {"schema", "n", "support", "sigma"}, path)
-        _check_schema(obj, path)
         sigma = {}
         if not isinstance(obj["sigma"], list):
             raise SchemaError("sigma is a list of [eta, sigma(eta)] pairs", f"{path}.sigma")
@@ -270,9 +257,8 @@ def construct_params_from_json(obj: Any, path: str = "$") -> dict:
                 "support": _ints_from_json(obj["support"], f"{path}.support"),
                 "sigma": sigma}
     _require_fields(obj, {"schema", "n", "k0", "m0", "m1", "c"}, path)
-    _check_schema(obj, path)
     ints = {k: _int_from_json(obj[k], f"{path}.{k}") for k in ("n", "k0", "m0", "m1")}
-    return {"kind": "intertwiner", **ints, "c": complex_from_json(obj["c"], f"{path}.c")}
+    return {"kind": "intertwiner", **ints, "c": values_from_json(obj["c"], f"{path}.c", ()).item()}
 
 
 # -- the report layout -------------------------------------------------------------

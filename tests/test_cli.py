@@ -565,6 +565,27 @@ class TestParser:
             "output": str(out), "n": None, "tol": 1e-9, "seed": 0, "unitary": False,
             "mode": "basis", "samples": 64, "variant": "direct", "grid_S": 64, "grid_L": 4.0}
 
+    @pytest.mark.parametrize("command, tol", [
+        ("classify-conv", 1e-9), ("classify-exchange", 1e-9), ("classify-intertwiner", 1e-9),
+        ("classify-torus", 1e-9), ("verify-twisted", 5e-2), ("check-axioms", 1e-9),
+        ("construct", 1e-9)])
+    def test_config_defaults_without_options(self, monkeypatch, capsys, command, tol):
+        # a spy runner: construct's bare report carries no config, so the runner's is compared too
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, command, cli.COMMANDS[command]._replace(
+            run=lambda cfg: (seen.append(cfg), ({"spy": True}, True))[1]))
+        path = None if command == "verify-twisted" else "in.json"
+        assert run([command] if path is None else [command, "--input", path]) == 0
+        expected = {"command": command, "input": path, "output": None, "n": None, "tol": tol,
+                    "seed": 0, "unitary": False, "mode": "basis", "samples": 64,
+                    "variant": "direct", "grid_S": 64, "grid_L": 4.0}
+        assert {k: getattr(seen[0], k) for k in expected} == expected
+        report = json.loads(capsys.readouterr().out)
+        if command == "construct":
+            assert report == {"spy": True}
+        else:
+            assert report["config"] == expected
+
     @pytest.mark.parametrize("argv, tol", [
         (["verify-twisted", "--grid-S", "32", "--grid-L", "2.5"], 5e-2),
         (["classify-conv", "--input", str(FIXTURES / "dft_n8.json")], 1e-9),

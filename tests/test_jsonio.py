@@ -12,8 +12,7 @@ from convalg import (Group, Operator, Signal, TorusGrid, check_conv_homomorphism
                      fourier_coefficient_operator)
 from convalg import jsonio
 from convalg.errors import SchemaError
-from convalg.jsonio import (axiom_report_to_json, complex_from_json,
-                            construct_params_from_json,
+from convalg.jsonio import (axiom_report_to_json, construct_params_from_json,
                             conv_classification_to_json, dump,
                             exchange_classification_to_json,
                             intertwiner_classification_to_json,
@@ -50,13 +49,10 @@ class TestSignal:
             signal_from_json({"group": [2], "values": [[1, 0], [0, 0]],
                               "extra": 1})
 
-    def test_bad_complex_pair(self):
-        with pytest.raises(SchemaError):
-            complex_from_json([1.0], "$")
-        with pytest.raises(SchemaError):
-            complex_from_json("1+2j", "$")
-        with pytest.raises(SchemaError):
-            complex_from_json([True, False], "$")
+    @pytest.mark.parametrize("bad", [[1.0], "1+2j", [True, False]], ids=["short", "str", "bools"])
+    def test_bad_complex_pair(self, bad):
+        with pytest.raises(SchemaError, match=r"^\$: complex values are \[re, im\] pairs$"):
+            values_from_json(bad, "$", ())
 
 
 class TestValues:
@@ -68,7 +64,7 @@ class TestValues:
         v = json.loads(json.dumps(
             [[parts[i] for i in rng.integers(len(parts), size=2)] for _ in range(500)]))
         got = values_from_json(v, "$", (500,))
-        want = np.array([complex_from_json(x, "$") for x in v])
+        want = np.array([complex(x[0], x[1]) for x in v])      # an independent reference
         assert got.dtype == np.complex128 and got.shape == (500,)
         assert got.tobytes() == want.tobytes()      # bit-identical, -0.0 included
 
@@ -281,6 +277,24 @@ class TestPhaseSpace:
         pf, pg = pair_from_json(pair_to_json(f, f))
         assert np.allclose(pf.values, f.values)
         assert np.allclose(pg.values, f.values)
+
+    @pytest.mark.parametrize("edits, path, message", [
+        # both members' field sets are checked before any value is decoded
+        ([("g", "S", None), ("f", "L", "x")], "$.g", "missing field(s) ['S']"),
+        ([("f", "L", "x"), ("g", "L", "x"), ("g", "values", "x")], "$.f.L",
+         "expected a number"),
+        ([("f", "schema", 1)], "$.f", "unknown field(s) ['schema']"),
+    ], ids=["missing-field-first", "f-before-g", "member-schema"])
+    def test_pair_error_order(self, edits, path, message):
+        doc = json.loads(json.dumps(pair_to_json(*[gaussian_pair(PlaneGrid(4.0, 4))] * 2)))
+        for member, field, value in edits:
+            if value is None:
+                del doc[member][field]
+            else:
+                doc[member][field] = value
+        with pytest.raises(SchemaError) as exc:
+            pair_from_json(doc)
+        assert (exc.value.path, str(exc.value)) == (path, f"{path}: {message}")
 
 
 def _set(doc, keys, value):

@@ -1,3 +1,4 @@
+import json
 import pathlib
 import subprocess
 import sys
@@ -9,14 +10,16 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 @pytest.fixture(scope="module")
 def fixture_runs(tmp_path_factory):
+    # one run for every test here: the fixtures, their edits and workload seed 3
     out = tmp_path_factory.mktemp("report-bytes")
     subprocess.run([sys.executable, str(ROOT / "tools" / "report_bytes.py"), str(ROOT),
-                    str(out), "--seeds"], check=True, timeout=60)
+                    str(out), "--seeds", "3"], check=True, timeout=180)
     return out
 
 
 def test_report_bytes_on_fixtures(fixture_runs):
-    assert sorted(p.name for p in fixture_runs.iterdir()) == ["fixtures", "fixtures-stdout"]
+    assert sorted(p.name for p in fixture_runs.iterdir()) == [
+        "fixtures", "fixtures-edited", "fixtures-stdout", "seed3", "signal-algebra"]
     for sink in ("fixtures", "fixtures-stdout"):
         runs = sorted((fixture_runs / sink).iterdir())
         assert len(runs) == 7 * len(list((ROOT / "fixtures").glob("*.json")))
@@ -26,6 +29,31 @@ def test_report_bytes_on_fixtures(fixture_runs):
             assert text.splitlines()[1] in ("exit: 0", "exit: 1", "exit: 2")
     text = (fixture_runs / "fixtures" / "dft_n8-classify-conv.txt").read_text(encoding="utf-8")
     assert "exit: 0\n" in text and '"input": "<checkout>/fixtures/dft_n8.json"' in text
+
+
+def test_report_bytes_on_edited_fixtures(fixture_runs):
+    # each field, and each field of a pair's f and g, dropped or replaced by 9 values, under
+    # each command that reads the fixture: one that does not exit 2 on it unedited
+    runs = sorted((fixture_runs / "fixtures-edited").iterdir())
+    exits = {}
+    for path in runs:
+        text = path.read_text(encoding="utf-8")
+        assert str(ROOT) not in text
+        exit_ = text.splitlines()[1]
+        assert exit_ in ("exit: 0", "exit: 1", "exit: 2"), path.name
+        exits.setdefault(path.name.split("-")[0], set()).add(exit_)
+    expected = 0
+    for fixture in (ROOT / "fixtures").glob("*.json"):
+        doc = json.loads(fixture.read_text(encoding="utf-8"))
+        fields = len(doc) + sum(len(doc[m]) for m in ("f", "g") if isinstance(doc.get(m), dict))
+        readers = [p for p in (fixture_runs / "fixtures").glob(f"{fixture.stem}-*.txt")
+                   if sections(p)["exit"] != "exit: 2"]
+        expected += 10 * fields * len(readers)
+        assert "exit: 2" in exits[fixture.stem], fixture.name
+    assert len(runs) == expected
+    text = (fixture_runs / "fixtures-edited" / "gaussian_pair_s64-f.L-str-verify-twisted.txt"
+            ).read_text(encoding="utf-8")
+    assert "exit: 2\n" in text and "error: $.f.L: expected a number\n" in text
 
 
 def sections(path: pathlib.Path) -> dict:
@@ -50,15 +78,11 @@ def test_stdout_report_equals_file_report(fixture_runs):
     assert reports >= len(list((ROOT / "fixtures").glob("*.json")))    # one per fixture at least
 
 
-def test_report_bytes_on_workload_seed(tmp_path):
-    subprocess.run([sys.executable, str(ROOT / "tools" / "report_bytes.py"), str(ROOT),
-                    str(tmp_path), "--seeds", "3"], check=True, timeout=120)
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "fixtures", "fixtures-stdout", "seed3", "signal-algebra"]
+def test_report_bytes_on_workload_seed(fixture_runs):
     assert all(p.read_text(encoding="utf-8").splitlines()[1] in ("exit: 0", "exit: 1", "exit: 2")
-               for p in (tmp_path / "seed3").iterdir())
-    assert [p.name for p in (tmp_path / "signal-algebra").iterdir()] == ["seed3.txt"]
-    text = (tmp_path / "signal-algebra" / "seed3.txt").read_text(encoding="utf-8")
+               for p in (fixture_runs / "seed3").iterdir())
+    assert [p.name for p in (fixture_runs / "signal-algebra").iterdir()] == ["seed3.txt"]
+    text = (fixture_runs / "signal-algebra" / "seed3.txt").read_text(encoding="utf-8")
     blocks = [b.split("\n") for b in text.split("request ")[1:]]
     assert [b[0].split()[0] for b in blocks] == [f"{i:04d}" for i in range(len(blocks))]
     # every request meets the workload's known answer

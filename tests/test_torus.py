@@ -255,7 +255,8 @@ class TestCertificate:
             for a in sorted({0, M // 2, int(rng.integers(M))}):
                 for s in (0.5, 0.9, 0.999, 1.0, 1.001, 1.1):
                     kernels = edge_kernels(grid, a, tol, s, rng)
-                    certified = character_certified(np.array(list(kernels.values())), tol)
+                    rows = np.array(list(kernels.values()))
+                    certified = character_certified(rows, tol, nearest_characters(rows))
                     assert tol > 1e-17 or not certified.any()
                     for (kind, h), cert in zip(kernels.items(), certified):
                         if cert:
@@ -265,8 +266,9 @@ class TestCertificate:
 
     def test_exact_characters_certify_above_the_floor_only(self):
         kernels = np.array([character(TorusGrid(64), a) for a in range(64)])
-        assert not character_certified(kernels, FLOOR / 2).any()
-        assert character_certified(kernels, 2 * FLOOR).all()
+        nearest = nearest_characters(kernels)
+        assert not character_certified(kernels, FLOOR / 2, nearest).any()
+        assert character_certified(kernels, 2 * FLOOR, nearest).all()
 
 
 def counted_checks(monkeypatch) -> list:

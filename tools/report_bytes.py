@@ -5,7 +5,10 @@
 
 Runs all seven commands on every bundled fixture of CHECKOUT, once with
 `--output` (OUTDIR/fixtures) and once to stdout (OUTDIR/fixtures-stdout),
-then, for each seed (`--seeds` with no value runs the fixtures only), the
+and each command that reads the fixture (does not exit 2 on it) with
+`--output` on every single-field edit of it (`edits`, into
+OUTDIR/fixtures-edited), so that exit-2 messages are compared too.  Then,
+for each seed (`--seeds` with no value runs the fixtures only), the
 requests that `perfbench/workloads.py` generates: `cli_workload`'s commands
 and `signal_algebra`'s library calls.  Each CLI run goes in-process through
 `convalg.cli.run` of CHECKOUT and leaves one file in OUTDIR holding its
@@ -24,6 +27,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import os
 import pathlib
 import sys
@@ -31,6 +35,28 @@ import tempfile
 
 COMMANDS = ("classify-conv", "check-axioms", "classify-exchange", "classify-intertwiner",
             "classify-torus", "verify-twisted", "construct")
+DROP = object()
+# what an edit puts in place of a field, by the name it goes under in a run's file name
+REPLACEMENTS = {"drop": DROP, "null": None, "true": True, "str": "x", "list": [], "object": {},
+                "minus-one": -1, "one-and-a-half": 1.5, "2-pow-70": 2 ** 70,
+                "10-pow-400": 10 ** 400}
+
+
+def edits(doc: dict):
+    """(name, edited doc) for each field of doc, and of its members f and g where they are
+    objects (a phase-space pair), dropped or replaced by each of REPLACEMENTS in turn."""
+    paths = [(k,) for k in sorted(doc)]
+    paths += [(m, k) for m in ("f", "g") if isinstance(doc.get(m), dict) for k in sorted(doc[m])]
+    for keys in paths:
+        for name, value in REPLACEMENTS.items():
+            new = node = dict(doc)
+            if len(keys) == 2:
+                node = new[keys[0]] = dict(doc[keys[0]])
+            if value is DROP:
+                del node[keys[-1]]
+            else:
+                node[keys[-1]] = value
+            yield f"{'.'.join(keys)}-{name}", new
 
 
 def describe(obj) -> str:
@@ -74,7 +100,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         report = os.path.join(work, "report.json")
 
-        def record(path: pathlib.Path, argv: list[str]) -> None:
+        def record(path: pathlib.Path, argv: list[str]) -> int:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(report)
             out, err = io.StringIO(), io.StringIO()
@@ -86,13 +112,22 @@ def main(argv=None) -> int:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text.replace(str(checkout), "<checkout>").replace(work, "<work>"),
                             encoding="utf-8")
+            return code
 
         for fixture in sorted((checkout / "fixtures").glob("*.json")):
+            readers = []
             for command in COMMANDS:
                 argv = [command, "--input", str(fixture)]
                 name = f"{fixture.stem}-{command}.txt"
-                record(args.outdir / "fixtures" / name, argv + ["--output", report])
+                if record(args.outdir / "fixtures" / name, argv + ["--output", report]) != 2:
+                    readers.append(command)
                 record(args.outdir / "fixtures-stdout" / name, argv)
+            edited = os.path.join(work, "edited.json")
+            for edit, doc in edits(json.loads(fixture.read_text(encoding="utf-8"))):
+                pathlib.Path(edited).write_text(json.dumps(doc), encoding="utf-8")
+                for command in readers:
+                    record(args.outdir / "fixtures-edited" / f"{fixture.stem}-{edit}-{command}.txt",
+                           [command, "--input", edited, "--output", report])
 
         if args.seeds:
             import workloads
