@@ -100,7 +100,7 @@ def _construct(cfg: RunConfig):
 # returns (result payload, passed flag) and looks library functions up when it
 # runs, so that a function patched in its module is the one run.
 Command = namedtuple("Command", "help run options needs_input bare_report tol",
-                     defaults=(True, False, DEFAULT_TOL))
+                     defaults=(True, False, DEFAULTS["tol"]))
 OPERATOR = ("--n", "--tol", "--unitary")     # read by _load_operator and the classifier
 
 COMMANDS = {

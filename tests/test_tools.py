@@ -10,16 +10,16 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 @pytest.fixture(scope="module")
 def fixture_runs(tmp_path_factory):
-    # one run for every test here: the fixtures, their edits and workload seed 3
     out = tmp_path_factory.mktemp("report-bytes")
     subprocess.run([sys.executable, str(ROOT / "tools" / "report_bytes.py"), str(ROOT),
-                    str(out), "--seeds", "3"], check=True, timeout=180)
+                    str(out), "--seeds"], check=True, timeout=60)
     return out
 
 
 def test_report_bytes_on_fixtures(fixture_runs):
+    # a bare --seeds records the fixtures and their edits only
     assert sorted(p.name for p in fixture_runs.iterdir()) == [
-        "fixtures", "fixtures-edited", "fixtures-stdout", "seed3", "signal-algebra"]
+        "fixtures", "fixtures-edited", "fixtures-stdout"]
     for sink in ("fixtures", "fixtures-stdout"):
         runs = sorted((fixture_runs / sink).iterdir())
         assert len(runs) == 7 * len(list((ROOT / "fixtures").glob("*.json")))
@@ -78,11 +78,15 @@ def test_stdout_report_equals_file_report(fixture_runs):
     assert reports >= len(list((ROOT / "fixtures").glob("*.json")))    # one per fixture at least
 
 
-def test_report_bytes_on_workload_seed(fixture_runs):
+def test_report_bytes_on_workload_seed(tmp_path):
+    subprocess.run([sys.executable, str(ROOT / "tools" / "report_bytes.py"), str(ROOT),
+                    str(tmp_path), "--seeds", "3"], check=True, timeout=120)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fixtures", "fixtures-edited", "fixtures-stdout", "seed3", "signal-algebra"]
     assert all(p.read_text(encoding="utf-8").splitlines()[1] in ("exit: 0", "exit: 1", "exit: 2")
-               for p in (fixture_runs / "seed3").iterdir())
-    assert [p.name for p in (fixture_runs / "signal-algebra").iterdir()] == ["seed3.txt"]
-    text = (fixture_runs / "signal-algebra" / "seed3.txt").read_text(encoding="utf-8")
+               for p in (tmp_path / "seed3").iterdir())
+    assert [p.name for p in (tmp_path / "signal-algebra").iterdir()] == ["seed3.txt"]
+    text = (tmp_path / "signal-algebra" / "seed3.txt").read_text(encoding="utf-8")
     blocks = [b.split("\n") for b in text.split("request ")[1:]]
     assert [b[0].split()[0] for b in blocks] == [f"{i:04d}" for i in range(len(blocks))]
     # every request meets the workload's known answer
