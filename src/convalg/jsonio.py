@@ -39,7 +39,9 @@ def _require_fields(obj: Mapping, required: set, path: str) -> None:
     unknown = obj.keys() - required
     if unknown:
         raise SchemaError(f"unknown field(s) {sorted(unknown)}", path)
-    if "schema" in required and obj["schema"] != SCHEMA_VERSION:
+    schema = obj.get("schema")
+    # JSON true and 1.0 compare equal to 1, but neither is the version number
+    if "schema" in required and (type(schema) is not int or schema != SCHEMA_VERSION):
         raise SchemaError(f"expected \"schema\": {SCHEMA_VERSION}", path)
 
 
@@ -194,10 +196,6 @@ def kernel_family_from_json(obj: Any, path: str = "$") -> KernelFamily:
             raise SchemaError(f"frequency {xi} out of window or repeated", p)
         rows[xi + N] = values_from_json(entry[1], f"{p}[1]", (grid.M,))
     return KernelFamily(grid, N, np.stack(rows))
-
-
-def phase_space_to_json(f: PhaseSpaceFunction) -> dict:
-    return {"schema": SCHEMA_VERSION, **_phase_space_fields(f)}
 
 
 def _phase_space_fields(f: PhaseSpaceFunction) -> dict:

@@ -11,7 +11,7 @@ All residuals use the scale-free metric
 
 character_residuals applies it to the character equation h(k + l) = h(k) h(l)
 on every pair in O(rows * order + order^2) memory; the groups are abelian, so
-the equation is symmetric in (k, l) and each unordered pair is measured once.
+the equation is symmetric in (k, l) and the residuals keep only k <= l.
 character_report turns those residuals into an AxiomReport, for the basis
 check and the circle-grid kernel check alike.  Every witness is the first
 failing case: the first pair in row-major order, or the first draw.  The
@@ -24,7 +24,6 @@ its output is checked by the Signal it returns, and by nothing else.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -57,13 +56,14 @@ def rel_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def character_residuals(rows: np.ndarray, group: Group) -> np.ndarray:
-    """Entry (k, l) is rel_residual(rows[:, k + l], rows[:, k] * rows[:, l]).
+    """Entry (k, l), l >= k, is rel_residual(rows[:, k + l], rows[:, k] * rows[:, l]); 0 below.
 
     rows is (r, order), one function on group per row.  The group is abelian,
-    so the entry is symmetric in (k, l): each unordered pair is measured once,
-    as rows[:, k] * rows[:, l] with k <= l, and the lower triangle is copied
-    from the upper, so the result is exactly symmetric.  h(k + l) is read from
-    a window view of the rows wrap-padded along each factor axis, and the
+    so the residual is symmetric in (k, l): each unordered pair is measured
+    once, as rows[:, k] * rows[:, l] with k <= l, and the lower triangle is
+    left 0, since the worst pair and the first failing pair in row-major
+    order always lie on or above the diagonal.  h(k + l) is read from a
+    window view of the rows wrap-padded along each factor axis, and the
     scale's max_r |h_r(k + l)| from the same window over the per-column
     maximum of |rows|.  k runs in blocks along the last factor and l from the
     block's first coordinate along the first; no temporary outgrows _BLOCK
@@ -102,17 +102,9 @@ def character_residuals(rows: np.ndarray, group: Group) -> np.ndarray:
             np.subtract(window[(slice(None),) + kl], rhs, out=rhs)
             np.abs(rhs, out=mag)
             np.divide(top(mag), scale, out=res[kl])
-    # every row k now holds each l >= k: copy the upper triangle onto the
-    # lower in strips of 1/8 of the order or one k-block, whichever is wider,
-    # each strip's square through a mask and the rest of it as a transpose
+    # the blocks also measured some pairs below the diagonal
     res = res.reshape(n, n)
-    width = max(step, -(-n // 8))
-    lower = _strict_lower(width)
-    for s in range(0, n, width):
-        e = s + width
-        res[e:, s:e] = res[s:e, e:].T
-        square = res[s:e, s:e]
-        np.copyto(square, square.T, where=lower[:len(square), :len(square)])
+    np.copyto(res, 0.0, where=np.tri(n, k=-1, dtype=bool))
     return res
 
 
@@ -124,14 +116,6 @@ def distinct_rows(rows) -> np.ndarray:
     rows = np.ascontiguousarray(rows, dtype=np.complex128)
     _, first = np.unique(rows.view(np.dtype((np.void, rows[0].nbytes))), return_index=True)
     return rows if len(first) == len(rows) else rows[np.sort(first)]
-
-
-@functools.lru_cache(maxsize=8)
-def _strict_lower(w: int) -> np.ndarray:
-    """The (w, w) mask below the diagonal, read-only since callers share it."""
-    mask = np.tri(w, k=-1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
 
 
 def random_values(group: Group, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from convalg.jsonio import (axiom_report_to_json, construct_params_from_json,
                             kernel_family_from_json, kernel_family_to_json,
                             operator_from_json, operator_to_json,
                             pair_from_json, pair_to_json,
-                            phase_space_from_json, phase_space_to_json,
+                            phase_space_from_json,
                             pairs, signal_from_json, signal_to_json,
                             torus_classification_to_json, values_from_json)
 from convalg.torus import classify_torus_operator, extract_kernels
@@ -249,10 +249,15 @@ class TestKernelFamily:
             kernel_family_from_json(doc)
 
 
+def phase_space_doc(f) -> dict:
+    """The phase-space table document that holds f."""
+    return {"schema": 1, "L": f.grid.half_width, "S": f.grid.side, "values": pairs(f.values)}
+
+
 class TestPhaseSpace:
     def test_roundtrip(self):
         f = gaussian_pair(PlaneGrid(4.0, 16))
-        back = phase_space_from_json(phase_space_to_json(f))
+        back = phase_space_from_json(phase_space_doc(f))
         assert back.grid == f.grid
         assert np.allclose(back.values, f.values)
 
@@ -261,11 +266,11 @@ class TestPhaseSpace:
         grid = PlaneGrid(4.0, 16)
         vals = np.zeros((16, 16), dtype=complex)
         vals[3, 7] = 2.0
-        doc = phase_space_to_json(PhaseSpaceFunction(grid, vals))
+        doc = phase_space_doc(PhaseSpaceFunction(grid, vals))
         assert doc["values"][3][7] == [2.0, 0.0]
 
     def test_short_row_named(self):
-        doc = phase_space_to_json(gaussian_pair(PlaneGrid(4.0, 16)))
+        doc = phase_space_doc(gaussian_pair(PlaneGrid(4.0, 16)))
         doc["values"][3].pop()
         with pytest.raises(SchemaError) as exc:
             phase_space_from_json(doc)
@@ -324,6 +329,34 @@ INTEGER_FIELDS = [
 ]
 
 
+PLANE_TABLE = {"L": 1.0, "S": 2, "values": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+# one valid document per schema-versioned loader
+SCHEMA_DOCS = {
+    "operator": (operator_from_json, {"schema": 1, "group": [1], "columns": [[[1, 0]]]}),
+    "kernel-family": (kernel_family_from_json, {"schema": 1, "M": 2, "N": 0,
+                                                "kernels": [[0, [[1, 0], [1, 0]]]]}),
+    "phase-space": (phase_space_from_json, {"schema": 1, **PLANE_TABLE}),
+    "pair": (pair_from_json, {"schema": 1, "f": PLANE_TABLE, "g": PLANE_TABLE}),
+    "conv-params": (construct_params_from_json,
+                    {"schema": 1, "n": 4, "support": [1], "sigma": [[1, 2]]}),
+    "intertwiner-params": (construct_params_from_json,
+                           {"schema": 1, "n": 8, "k0": 3, "m0": 2, "m1": 5, "c": [1, 0]}),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+@pytest.mark.parametrize("kind", SCHEMA_DOCS)
+def test_schema_is_the_integer_one(kind, value):
+    # JSON true and 1.0 compare equal to 1; only the integer is the version
+    load, doc = SCHEMA_DOCS[kind]
+    doc = json.loads(json.dumps(doc))
+    load(doc)                           # the document is valid as written
+    doc["schema"] = value
+    with pytest.raises(SchemaError) as exc:
+        load(doc)
+    assert (exc.value.path, str(exc.value)) == ("$", '$: expected "schema": 1')
+
+
 class TestIntegerFields:
     @pytest.mark.parametrize("value", [True, 2.7, "5"])
     @pytest.mark.parametrize("load, doc, keys", INTEGER_FIELDS, ids=[
@@ -346,7 +379,7 @@ class TestIntegerFields:
             load(doc)
 
     def test_rejects_boolean_half_width(self):
-        doc = phase_space_to_json(gaussian_pair(PlaneGrid(4.0, 16)))
+        doc = phase_space_doc(gaussian_pair(PlaneGrid(4.0, 16)))
         doc["L"] = True
         with pytest.raises(SchemaError):
             phase_space_from_json(doc)

@@ -153,7 +153,7 @@ class TestCharacterResiduals:
             table[tuple(rng.integers(g.order, size=2))] += 1e-3
         naive = naive_character_residuals(table, g)
         res = character_residuals(table, g)
-        assert np.max(np.abs(res - naive)) <= 1e-15
+        assert np.max(np.abs(res - np.triu(naive))) <= 1e-15
         rep = check_conv_homomorphism(Operator.from_table(g, table))
         bad = np.argwhere(naive > rep.tol)
         assert rep.passed is (bad.size == 0)
@@ -171,30 +171,31 @@ class TestCharacterResiduals:
         if planted:
             h[rng.integers(M)] *= 1.01
         naive = naive_character_residuals(h[None], Group(M))
-        assert np.max(np.abs(character_residuals(h[None], Group(M)) - naive)) <= 1e-15
+        assert np.max(np.abs(character_residuals(h[None], Group(M)) - np.triu(naive))) <= 1e-15
         rep = check_character_equation(h)
         assert rep.max_residual == pytest.approx(naive.max(), abs=1e-15)
         if planted:
             assert_first_failing_pair(rep, naive)
 
     @pytest.mark.parametrize("factors", GROUPS)
-    def test_exactly_symmetric(self, factors):
+    def test_lower_triangle_is_zero(self, factors):
         g = Group(factors)
         rng = np.random.default_rng(g.order)
         table = np.array(Operator.dft(g).table)
         table += 1e-6 * (rng.standard_normal(table.shape) + 1j * rng.standard_normal(table.shape))
         for rows in (table[:1], table):
             res = character_residuals(rows, g)
-            assert np.array_equal(res, res.T)
+            assert not np.tril(res, -1).any()
+            assert res[np.triu_indices(g.order)].all()
 
-    def test_overflowing_entry_gives_symmetric_nan(self):
+    def test_overflowing_entry_gives_nan_above_the_diagonal(self):
         g = Group(8)
         table = np.array(Operator.dft(g).table)
         table[2, 3] = 1e300
         with np.errstate(over="ignore", invalid="ignore"):
             res = character_residuals(table, g)
         assert np.isnan(res).any()
-        assert np.array_equal(res, res.T, equal_nan=True)
+        assert not np.tril(res, -1).any()
         rep = check_conv_homomorphism(Operator.from_table(g, table))
         assert not rep.passed and rep.witness is not None
 
@@ -205,8 +206,8 @@ class TestCharacterResiduals:
         h[rng.integers(M, size=3)] *= 1.01
         naive = naive_character_residuals(h[None], Group(M))
         res = character_residuals(h[None], Group(M))
-        assert np.max(np.abs(res - naive)) <= 1e-15
-        assert np.array_equal(res, res.T)
+        assert np.max(np.abs(res - np.triu(naive))) <= 1e-15
+        assert not np.tril(res, -1).any()
         rep = check_character_equation(h)
         assert rep.max_residual == pytest.approx(naive.max(), abs=1e-15)
         assert_first_failing_pair(rep, res)
@@ -233,12 +234,6 @@ class TestCharacterResiduals:
         finally:
             tracemalloc.stop()
         assert peak < 5.5 * 2 ** 20
-
-
-def mirrored_upper(res: np.ndarray) -> np.ndarray:
-    """res with its upper triangle (k <= l) copied onto the lower, bit for bit."""
-    k = np.arange(len(res))
-    return np.where(k[:, None] <= k, res, res.T)
 
 
 def repeated_sigma_table() -> np.ndarray:
@@ -279,7 +274,7 @@ class TestDistinctRows:
     def test_residuals_match_the_naive_oracle_bit_for_bit(self, name):
         factors, table = REPEATED_ROWS[name]()
         g = Group(factors)
-        want = mirrored_upper(naive_character_residuals(table, g))
+        want = np.triu(naive_character_residuals(table, g))
         res = character_residuals(table, g)
         assert np.array_equal(res.view(np.uint64), want.view(np.uint64))
         rep = check_conv_homomorphism(Operator.from_table(g, table))
@@ -290,7 +285,7 @@ class TestDistinctRows:
     def test_failing_table_keeps_its_witness(self, name):
         factors, table = REPEATED_ROWS[name]()
         g = Group(factors)
-        want = mirrored_upper(naive_character_residuals(table, g))
+        want = np.triu(naive_character_residuals(table, g))
         rep = check_conv_homomorphism(Operator.from_table(g, table))
         k, l = np.argwhere(~(want <= rep.tol))[0]
         kl = g.index(tuple(a + b for a, b in zip(g.element(k), g.element(l))))

@@ -17,9 +17,9 @@ def fixture_runs(tmp_path_factory):
 
 
 def test_report_bytes_on_fixtures(fixture_runs):
-    # a bare --seeds records the fixtures and their edits only
+    # a bare --seeds records the fixtures, their edits and the product-group runs only
     assert sorted(p.name for p in fixture_runs.iterdir()) == [
-        "fixtures", "fixtures-edited", "fixtures-stdout"]
+        "fixtures", "fixtures-edited", "fixtures-stdout", "product"]
     for sink in ("fixtures", "fixtures-stdout"):
         runs = sorted((fixture_runs / sink).iterdir())
         assert len(runs) == 7 * len(list((ROOT / "fixtures").glob("*.json")))
@@ -56,6 +56,17 @@ def test_report_bytes_on_edited_fixtures(fixture_runs):
     assert "exit: 2\n" in text and "error: $.f.L: expected a number\n" in text
 
 
+def test_report_bytes_on_product_groups(fixture_runs):
+    # each transform table passes the basis check, and fails it with one planted entry
+    runs = {p.name: sections(p) for p in (fixture_runs / "product").iterdir()}
+    assert sorted(runs) == sorted(f"{g}-{kind}.txt" for g in ("2x3", "4x6", "3x2x2", "2x64")
+                                  for kind in ("clean", "planted"))
+    for name, run in runs.items():
+        assert run["argv"].startswith("argv: check-axioms --input <work>/")
+        assert run["exit"] == ("exit: 0" if name.endswith("-clean.txt") else "exit: 1"), name
+        assert '"checked": ' in run["report"] and '"mode": "basis"' in run["report"]
+
+
 def sections(path: pathlib.Path) -> dict:
     """The argv, exit, stdout, stderr and report sections of one recorded run."""
     text = path.read_text(encoding="utf-8")
@@ -82,7 +93,7 @@ def test_report_bytes_on_workload_seed(tmp_path):
     subprocess.run([sys.executable, str(ROOT / "tools" / "report_bytes.py"), str(ROOT),
                     str(tmp_path), "--seeds", "3"], check=True, timeout=120)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "fixtures", "fixtures-edited", "fixtures-stdout", "seed3", "signal-algebra"]
+        "fixtures", "fixtures-edited", "fixtures-stdout", "product", "seed3", "signal-algebra"]
     assert all(p.read_text(encoding="utf-8").splitlines()[1] in ("exit: 0", "exit: 1", "exit: 2")
                for p in (tmp_path / "seed3").iterdir())
     assert [p.name for p in (tmp_path / "signal-algebra").iterdir()] == ["seed3.txt"]

@@ -7,7 +7,10 @@ Runs all seven commands on every bundled fixture of CHECKOUT, once with
 `--output` (OUTDIR/fixtures) and once to stdout (OUTDIR/fixtures-stdout),
 and each command that reads the fixture (does not exit 2 on it) with
 `--output` on every single-field edit of it (`edits`, into
-OUTDIR/fixtures-edited), so that exit-2 messages are compared too.  Then,
+OUTDIR/fixtures-edited), so that exit-2 messages are compared too.  The
+fixtures and workloads hold only cyclic operators, so `check-axioms --mode
+basis` also runs on the transform tables of PRODUCT_GROUPS, built here with
+numpy, once clean and once with one planted entry (OUTDIR/product).  Then,
 for each seed (`--seeds` with no value runs the fixtures only), the
 requests that `perfbench/workloads.py` generates: `cli_workload`'s commands
 and `signal_algebra`'s library calls.  Each CLI run goes in-process through
@@ -33,6 +36,8 @@ import pathlib
 import sys
 import tempfile
 
+import numpy as np
+
 COMMANDS = ("classify-conv", "check-axioms", "classify-exchange", "classify-intertwiner",
             "classify-torus", "verify-twisted", "construct")
 DROP = object()
@@ -40,6 +45,7 @@ DROP = object()
 REPLACEMENTS = {"drop": DROP, "null": None, "true": True, "str": "x", "list": [], "object": {},
                 "minus-one": -1, "one-and-a-half": 1.5, "2-pow-70": 2 ** 70,
                 "10-pow-400": 10 ** 400}
+PRODUCT_GROUPS = ((2, 3), (4, 6), (3, 2, 2), (2, 64))
 
 
 def edits(doc: dict):
@@ -99,6 +105,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as work:
         report = os.path.join(work, "report.json")
+        edited = os.path.join(work, "edited.json")
 
         def record(path: pathlib.Path, argv: list[str]) -> int:
             with contextlib.suppress(FileNotFoundError):
@@ -122,12 +129,25 @@ def main(argv=None) -> int:
                 if record(args.outdir / "fixtures" / name, argv + ["--output", report]) != 2:
                     readers.append(command)
                 record(args.outdir / "fixtures-stdout" / name, argv)
-            edited = os.path.join(work, "edited.json")
             for edit, doc in edits(json.loads(fixture.read_text(encoding="utf-8"))):
                 pathlib.Path(edited).write_text(json.dumps(doc), encoding="utf-8")
                 for command in readers:
                     record(args.outdir / "fixtures-edited" / f"{fixture.stem}-{edit}-{command}.txt",
                            [command, "--input", edited, "--output", report])
+
+        for factors in PRODUCT_GROUPS:
+            # columns are the transforms of the point masses, one axis per factor
+            n = int(np.prod(factors))
+            eye = np.eye(n).reshape(factors * 2)
+            table = np.fft.fftn(eye, axes=tuple(range(len(factors)))).reshape(n, n)
+            for kind in ("clean", "planted"):
+                if kind == "planted":
+                    table[1, n - 1] += 1e-3
+                columns = np.stack((table.T.real, table.T.imag), -1).tolist()
+                pathlib.Path(edited).write_text(json.dumps(
+                    {"schema": 1, "group": list(factors), "columns": columns}), encoding="utf-8")
+                record(args.outdir / "product" / f"{'x'.join(map(str, factors))}-{kind}.txt",
+                       ["check-axioms", "--input", edited, "--mode", "basis", "--output", report])
 
         if args.seeds:
             import workloads
