@@ -2,10 +2,12 @@
 
 Complex arrays of any rank travel as nested lists ending in [re, im] pairs:
 pairs() encodes one, values_from_json() decodes one; report_value_to_json
-encodes every report value by one rule, and render() writes every report's
-text in the one LAYOUT.  Every top-level document carries "schema": 1;
-unknown fields are rejected so fixtures double as regression tests.
-Loaders raise SchemaError with the offending field path.
+encodes every report value by one rule.  render() and dump() share one
+encoder for the text in LAYOUT, _chunks, which raises json's own ValueError
+and TypeError (a non-str key too: none is stringified), with no json fallback.
+Every top-level document carries "schema": 1; unknown fields are rejected
+so fixtures double as regression tests.  Loaders raise SchemaError with the
+offending field path.
 """
 
 from __future__ import annotations
@@ -261,24 +263,19 @@ def construct_params_from_json(obj: Any, path: str = "$") -> dict:
 
 # -- the report layout -------------------------------------------------------------
 
-class _Unrendered(Exception):
-    """A value _chunks() leaves to json: a non-finite float, a non-str key, an unknown type."""
-
-
 def render(doc: Any) -> list[str]:
-    """The text of json.dumps(doc, **LAYOUT), in pieces: "".join(render(doc)) is it.
+    """The text json writes for doc in LAYOUT, in pieces: "".join(render(doc)) is it.
 
-    A list of finite int and float values, or a list of non-empty such
-    lists, is rendered by repr() and one str.replace per level, in C; str
-    values and keys by json's own escaper; deeper lists element by element.
-    A document holding a NaN, an infinity, a non-str key or a type json
-    does not know goes to json.dumps whole, which raises its ValueError or
-    TypeError (or renders the keys), before any piece is returned.
+    render and dump share the one encoder, _chunks, and no other: a list of
+    finite int and float values, or a list of non-empty such lists, is
+    rendered by repr() and one str.replace per level, in C; str values and
+    keys by json's own escaper; deeper lists element by element.  _chunks
+    raises json's own errors, before render returns any piece: ValueError
+    at the first NaN or infinity, TypeError at a type json does not know.
+    A non-str key is a TypeError too, not stringified.  Nothing falls back
+    to json's encoder.
     """
-    try:
-        return list(_chunks(doc, "\n"))
-    except _Unrendered:
-        return [json.dumps(doc, **LAYOUT)]
+    return list(_chunks(doc, "\n"))
 
 
 _INDENT = " " * LAYOUT["indent"]
@@ -297,7 +294,7 @@ def _chunks(x: Any, nl: str):
         yield int.__repr__(x)
     elif isinstance(x, float):
         if not math.isfinite(x):
-            raise _Unrendered
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
         yield float.__repr__(x)
     elif isinstance(x, (list, tuple)):
         if not x:
@@ -314,31 +311,29 @@ def _chunks(x: Any, nl: str):
         if not x:
             yield "{}"
             return
-        if not all(isinstance(k, str) for k in x):
-            raise _Unrendered
+        if bad := [k for k in x if not isinstance(k, str)]:
+            raise TypeError(f"keys must be str, not {type(bad[0]).__name__}")
         inner = nl + _INDENT
         for i, k in enumerate(sorted(x)):
             yield ("{" if i == 0 else ",") + inner + _escape(k) + ": "
             yield from _chunks(x[k], inner)
         yield nl + "}"
     else:
-        raise _Unrendered
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _numbers(x: list, nl: str):
-    """x rendered at nl if it is a list of numbers or a list of non-empty lists
-    of numbers, list, int and float exactly (no tuple, no bool, no subclass,
+    """x rendered at nl if it is a list of finite numbers or a list of non-empty
+    lists of them, list, int and float exactly (no tuple, no bool, no subclass,
     whose repr differs); else None."""
     if type(x) is not list:
         return None
     items, depth = x, 1
     if set(map(type, items)) == {list} and 0 not in set(map(len, items)):
         items, depth = list(chain.from_iterable(items)), 2
-    if not set(map(type, items)) <= {int, float}:
+    # a nan or inf (the only reprs here with an n) goes element by element: _chunks raises
+    if not set(map(type, items)) <= {int, float} or "n" in (text := repr(x)):
         return None
-    text = repr(x)
-    if "n" in text:                     # nan or inf: no finite int or float repr holds an n
-        raise _Unrendered
     inner, leaf = nl + _INDENT, nl + 2 * _INDENT
     if depth == 1:
         return "[" + inner + text[1:-1].replace(", ", "," + inner) + nl + "]"
@@ -350,19 +345,15 @@ def _numbers(x: list, nl: str):
 def dump(obj: dict, path: str) -> None:
     """Deterministic serialization: render()'s text and a trailing newline.
 
-    The text goes piece by piece to a temporary file beside path, renamed
-    over path once complete, so a document that cannot be rendered or a
-    failed write leaves no file behind.
+    The text goes piece by piece from _chunks to a temporary file beside
+    path, renamed over path once complete, so a document that cannot be
+    rendered (render's ValueError or TypeError) or a failed write leaves no
+    file behind.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            try:
-                fh.writelines(_chunks(obj, "\n"))
-            except _Unrendered:
-                fh.seek(0)
-                fh.truncate()
-                json.dump(obj, fh, **LAYOUT)
+            fh.writelines(_chunks(obj, "\n"))
             fh.write("\n")
         os.replace(tmp, path)
     finally:

@@ -102,9 +102,9 @@ def character_residuals(rows: np.ndarray, group: Group) -> np.ndarray:
             np.subtract(window[(slice(None),) + kl], rhs, out=rhs)
             np.abs(rhs, out=mag)
             np.divide(top(mag), scale, out=res[kl])
-    # the blocks also measured some pairs below the diagonal
     res = res.reshape(n, n)
-    np.copyto(res, 0.0, where=np.tri(n, k=-1, dtype=bool))
+    for k in range(1, n):   # the blocks also measured some pairs below the diagonal
+        res[k, :k] = 0.0
     return res
 
 

@@ -4,7 +4,8 @@ The property runs over report-shaped documents: str keys, ints, bools, None,
 finite floats at the edges of their range, strings that look like JSON
 syntax or hold non-ASCII text, empty containers, and numeric lists, ragged
 and uniform, up to depth 3.  NaN and the infinities raise json's own
-ValueError and leave both sinks, a file and stdout, empty.
+ValueError, a non-str key a TypeError, and leave both sinks, a file and
+stdout, empty.
 """
 
 import json
@@ -57,15 +58,25 @@ def test_render_is_json_dumps(doc, tmp_path_factory):
 
 
 def test_what_render_leaves_to_json():
-    # tuples, a non-str key, a float subclass: rendered as json renders them
+    # tuples, a float subclass: rendered as json renders them
     class Half(float):
         def __repr__(self):
             return "Half()"
 
-    for doc in [(1.0, (2, 3)), {1: "a", 2: [1]}, [Half(0.5)], {"a": (Half(1.5),)}]:
+    for doc in [(1.0, (2, 3)), [Half(0.5)], {"a": (Half(1.5),)}]:
         assert "".join(jsonio.render(doc)) == json.dumps(doc, **jsonio.LAYOUT)
     with pytest.raises(TypeError, match="not JSON serializable"):
         jsonio.render({"a": [1, object()]})
+
+
+@pytest.mark.parametrize("doc", [{1: "a", 2: [1]}, {"a": [{"b": 1, None: 2}]}])
+def test_non_str_key_raises_and_writes_no_file(tmp_path, doc):
+    # json would stringify the key; no report holds one, so it is rejected
+    with pytest.raises(TypeError, match="keys must be str"):
+        jsonio.render(doc)
+    with pytest.raises(TypeError, match="keys must be str"):
+        jsonio.dump(doc, tmp_path / "rep.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -74,7 +85,9 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 def planted(bad):
     """bad where a report can hold a float: a field, a pair, a row of pairs, a mixed list."""
     return [{"residual": bad}, {"values": [1.0, bad]}, {"rows": [[[0.0, 1.0]], [[bad, 2.0]]]},
-            {"a": [1, [2.0, bad]], "z": "after"}, [bad]]
+            {"a": [1, [2.0, bad]], "z": "after"}, [bad],
+            # after an int beyond float range, which math.isfinite cannot take, and 1e308
+            [2 ** 1100, bad], [[1, 2 ** 1100], [bad, 0.0]], {"a": 1e308, "b": [bad]}]
 
 
 @pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])

@@ -17,9 +17,9 @@ def fixture_runs(tmp_path_factory):
 
 
 def test_report_bytes_on_fixtures(fixture_runs):
-    # a bare --seeds records the fixtures, their edits and the product-group runs only
+    # a bare --seeds records the fixtures, their edits, the product-group and overflow runs only
     assert sorted(p.name for p in fixture_runs.iterdir()) == [
-        "fixtures", "fixtures-edited", "fixtures-stdout", "product"]
+        "fixtures", "fixtures-edited", "fixtures-stdout", "overflow", "product"]
     for sink in ("fixtures", "fixtures-stdout"):
         runs = sorted((fixture_runs / sink).iterdir())
         assert len(runs) == 7 * len(list((ROOT / "fixtures").glob("*.json")))
@@ -93,7 +93,8 @@ def test_report_bytes_on_workload_seed(tmp_path):
     subprocess.run([sys.executable, str(ROOT / "tools" / "report_bytes.py"), str(ROOT),
                     str(tmp_path), "--seeds", "3"], check=True, timeout=120)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "fixtures", "fixtures-edited", "fixtures-stdout", "product", "seed3", "signal-algebra"]
+        "fixtures", "fixtures-edited", "fixtures-stdout", "overflow", "product", "seed3",
+        "signal-algebra"]
     assert all(p.read_text(encoding="utf-8").splitlines()[1] in ("exit: 0", "exit: 1", "exit: 2")
                for p in (tmp_path / "seed3").iterdir())
     assert [p.name for p in (tmp_path / "signal-algebra").iterdir()] == ["seed3.txt"]

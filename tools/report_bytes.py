@@ -10,7 +10,10 @@ and each command that reads the fixture (does not exit 2 on it) with
 OUTDIR/fixtures-edited), so that exit-2 messages are compared too.  The
 fixtures and workloads hold only cyclic operators, so `check-axioms --mode
 basis` also runs on the transform tables of PRODUCT_GROUPS, built here with
-numpy, once clean and once with one planted entry (OUTDIR/product).  Then,
+numpy, once clean and once with one planted entry (OUTDIR/product).  The
+OVERFLOW runs take a fixture with one value raised near the float limit, whose
+products overflow, so that the report would hold a NaN or an infinity, to a
+file and to stdout (OUTDIR/overflow).  Then,
 for each seed (`--seeds` with no value runs the fixtures only), the
 requests that `perfbench/workloads.py` generates: `cli_workload`'s commands
 and `signal_algebra`'s library calls.  Each CLI run goes in-process through
@@ -46,6 +49,10 @@ REPLACEMENTS = {"drop": DROP, "null": None, "true": True, "str": "x", "list": []
                 "minus-one": -1, "one-and-a-half": 1.5, "2-pow-70": 2 ** 70,
                 "10-pow-400": 10 ** 400}
 PRODUCT_GROUPS = ((2, 3), (4, 6), (3, 2, 2), (2, 64))
+# (fixture, keys of the value set to [value, 0.0], value, argvs): products overflow to inf
+OVERFLOW = (("identity_n4", ("columns", 0, 0), 1e300,
+             (["check-axioms"], ["check-axioms", "--mode", "sampled"], ["classify-conv"])),
+            ("gaussian_pair_s64", ("f", "values", 0, 0), 1e308, (["verify-twisted"],)))
 
 
 def edits(doc: dict):
@@ -148,6 +155,19 @@ def main(argv=None) -> int:
                     {"schema": 1, "group": list(factors), "columns": columns}), encoding="utf-8")
                 record(args.outdir / "product" / f"{'x'.join(map(str, factors))}-{kind}.txt",
                        ["check-axioms", "--input", edited, "--mode", "basis", "--output", report])
+
+        for stem, keys, value, argvs in OVERFLOW:
+            doc = json.loads((checkout / "fixtures" / f"{stem}.json").read_text(encoding="utf-8"))
+            node = doc
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = [value, 0.0]
+            pathlib.Path(edited).write_text(json.dumps(doc), encoding="utf-8")
+            for argv in argvs:
+                name = f"{stem}-{value:g}-{'-'.join(a.lstrip('-') for a in argv)}"
+                argv = [argv[0], "--input", edited, *argv[1:]]
+                record(args.outdir / "overflow" / f"{name}.txt", argv + ["--output", report])
+                record(args.outdir / "overflow" / f"{name}-stdout.txt", argv)
 
         if args.seeds:
             import workloads
