@@ -6,8 +6,10 @@ A bijection T (not necessarily linear) with
 
 is a unit reindexing, possibly composed with entrywise conjugation:
 T(a)(eta*j) = a(j) or conj(a(j)) for a single eta coprime to n.  The
-classifier runs the recovery as a four-step procedure, raising the
-step-specific error on the first failure:
+classifier runs the recovery as a four-step procedure.  Each step meets T
+through operators.apply_each: it evaluates its whole probe stack, then
+judges the rows in order and raises the step-specific error at the first
+that fails:
 
   1. fixed points:  T(delta_0) = delta_0, T(ones) = ones, T(zeros) = zeros
   2. point masses:  T(delta_j) = delta_{sigma(j)} with sigma(j) = j*sigma(1)
@@ -32,9 +34,9 @@ import numpy as np
 from .errors import (BetaNotIdentityOrConjugation, DeltaImageInconsistent,
                      DeltaImageNotDelta, EtaNotCoprime, FinalSweepViolation,
                      FixedPointViolation)
-from .groups import SNAP_FLOOR, Group, Signal, constant, delta, expectation, negation, validated
+from .groups import SNAP_FLOOR, Group, Signal, negation
 from .operators import (DEFAULT_TOL, AxiomReport, Operator, apply, apply_each,
-                        check_identities, compose, random_values, rel_residual)
+                        check_identities, compose, random_values, rel_residuals)
 
 SWEEP_SIGNALS = 32
 _BETA_BASE = (2.0, 3.0, 1.5, 1j)   # 1 + t for t in {0.5, 1, 2}, plus i
@@ -46,12 +48,6 @@ class ExchangeClassification:
     conjugate: bool
     variant: str            # "direct" or "fourier"
     residual: float
-
-
-def beta_of(T: Operator, c: complex) -> complex:
-    """The scalar action beta(c) = E[T((c/n) * ones)]."""
-    n = T.group.order
-    return expectation(apply(T, constant(T.group, c / n)))
 
 
 def construct_exchange(group: Group, eta: int, conjugate: bool = False) -> Operator:
@@ -84,20 +80,17 @@ def classify_exchange(T: Operator, tol: float = DEFAULT_TOL, *,
     n = group.n
     if n < 2:
         raise ValueError("exchange classification needs n >= 2")
-    residual = 0.0
 
     # step 1: fixed points
-    for name, sig in (("delta_0", delta(group, 0)),
-                      ("ones", constant(group, 1.0)),
-                      ("zeros", constant(group, 0.0))):
-        r = rel_residual(apply(T, sig).values, sig.values)
+    fixed = np.stack([np.eye(1, n)[0], np.ones(n), np.zeros(n)])
+    res = rel_residuals(apply_each(T, fixed)[0], fixed).tolist()
+    for name, r in zip(("delta_0", "ones", "zeros"), res):
         if not r <= tol:
             raise FixedPointViolation(name, r)
-        residual = max(residual, r)
+    residual = max(res)
 
     # step 2: point masses map to point masses (one entry within SNAP_FLOOR * tol
-    # of 1, the rest of 0), multiplicatively; T meets every delta_j before the
-    # first is judged
+    # of 1, the rest of 0), multiplicatively
     img = apply_each(T, np.eye(n)[1:])[0]
     snap = SNAP_FLOOR * tol
     near_one = np.abs(img - 1.0) <= snap
@@ -114,29 +107,22 @@ def classify_exchange(T: Operator, tol: float = DEFAULT_TOL, *,
         if sigma[j] != (j * eta) % n:
             raise DeltaImageInconsistent(j, int(sigma[j]), (j * eta) % n)
 
-    # step 3: scalar action is the identity or conjugation
-    for c in _BETA_BASE:
-        b = beta_of(T, c)
+    # step 3: scalar action is the identity or conjugation; Python's c / n, as
+    # numpy's complex division by n rounds differently
+    scaled = apply_each(T, np.outer([c / n for c in _BETA_BASE], np.ones(n)))[0]
+    for c, row in zip(_BETA_BASE, scaled):
+        b = complex(np.sum(row))
         if min(abs(b - c), abs(b - np.conj(c))) > tol * (1.0 + abs(c)):
             raise BetaNotIdentityOrConjugation(c, b)
         residual = max(residual, min(abs(b - c), abs(b - np.conj(c))) / (1.0 + abs(c)))
     conjugate = abs(b + 1j) < abs(b - 1j)   # b = beta(i): i is the last probe
 
-    # step 4: full-signal sweep of the recovered form.  T meets no signal
-    # past the first that fails: an image within tol of its target entry by
-    # entry is within tol (the scale is at least 1), any other is measured
-    a = validated(random_values(group, np.random.default_rng(seed), SWEEP_SIGNALS),
-                  (SWEEP_SIGNALS, n))
+    # step 4: full-signal sweep of the recovered form
+    a = random_values(group, np.random.default_rng(seed), SWEEP_SIGNALS)
     rhs = a[:, _reindex(eta, n)]
     if conjugate:
         rhs = np.conj(rhs)
-    lhs = np.empty_like(a)
-    for i in range(SWEEP_SIGNALS):
-        lhs[i] = apply(T, Signal._view(group, a[i])).values
-        if (not np.abs(lhs[i] - rhs[i]).max() <= tol
-                and not rel_residual(lhs[i], rhs[i]) <= tol):
-            break
-    report = check_identities(lhs[:i + 1], rhs[:i + 1], tol, lambda k: (
+    report = check_identities(apply_each(T, a)[0], rhs, tol, lambda k: (
         "T(a)(eta j) = a(j)" + (" conjugated" if conjugate else ""), (Signal(group, a[k]),)))
     if not report.passed:
         raise FinalSweepViolation(report.witness, report.witness.residual)
@@ -165,10 +151,8 @@ def check_involution_symmetry(T: Operator, tol: float = DEFAULT_TOL, *,
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
     group = T.group
-    a = validated(random_values(group, np.random.default_rng(seed), samples),
-                  (samples, group.order))
-    lhs = np.empty_like(a)
-    for i in range(samples):
-        lhs[i] = apply(T, apply(T, Signal._view(group, a[i]))).values
+    a = random_values(group, np.random.default_rng(seed), samples)
+    # not compose(T, T), which multiplies a dense T's table by itself and rounds differently
+    lhs = apply_each(Operator.from_function(group, lambda x: apply(T, apply(T, x))), a)[0]
     return check_identities(lhs, a[:, negation(group)], tol,
                             lambda i: ("T(T(a))(k) = a(-k)", (Signal(group, a[i]),)))

@@ -224,13 +224,10 @@ class TestValidatedOnce:
         g = Group(n)
         calls = []
         assert classify_exchange(watching(g, construct_exchange(g, 3), calls)).eta == 3
-        # steps 1 and 3 build 3 + 4 probe signals; steps 2 and 4 one stack each;
-        # every other validation is a box output
-        assert validations.count((n - 1, n)) == 1
-        assert validations.count((SWEEP_SIGNALS, n)) == 1
-        assert validations.count((n,)) == 3 + 4 + len(calls)
-        assert len(validations) == 2 + 3 + 4 + len(calls)
-        assert len(calls) == 3 + (n - 1) + 4 + SWEEP_SIGNALS
+        # each step's probe stack, then one output per evaluation of it
+        steps = (3, n - 1, 4, SWEEP_SIGNALS)
+        assert validations == [v for m in steps for v in [(m, n)] + [(n,)] * m]
+        assert len(calls) == sum(steps)
 
     def test_involution_validates_its_draw_once(self, validations):
         g, samples = Group(9), 6

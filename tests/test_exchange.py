@@ -11,9 +11,9 @@ from convalg.errors import (BetaNotIdentityOrConjugation,
                             DeltaImageInconsistent, DeltaImageNotDelta,
                             EtaNotCoprime, FinalSweepViolation,
                             FixedPointViolation)
-from convalg.exchange import SWEEP_SIGNALS, beta_of
+from convalg.exchange import SWEEP_SIGNALS
 
-from helpers import disc_signal
+from helpers import beta_of, disc_signal
 
 
 def units(n):
@@ -311,15 +311,25 @@ class TestInvolutionSymmetry:
             check_involution_symmetry(T, samples=samples)
 
 
-@pytest.mark.parametrize("check", [check_exchange_axioms, check_involution_symmetry])
-def test_overflowing_black_box_raises_without_warnings(check):
-    # the images' products overflow: a ValueError, and no RuntimeWarning before it
-    g = Group(8)
-    T = Operator.from_function(g, lambda a: Signal(g, 1e200 * dft(a).values))
+def overflowing_box(g: Group) -> Operator:
+    return Operator.from_function(g, lambda a: Signal(g, 1e200 * dft(a).values))
+
+
+def test_overflowing_products_of_images_fail_without_warnings():
+    # T(a).T(b) and T(a)*T(b) overflow: a NaN residual, which fails, and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_exchange_axioms(overflowing_box(Group(8)))
+    assert not rep.passed and math.isnan(rep.max_residual)
+    assert rep.witness.identity == "T(a.b) = T(a).T(b)"
+
+
+def test_overflowing_image_in_involution_raises_without_warnings():
+    # T(T(a)) overflows inside the box: a ValueError, and no RuntimeWarning before it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
-            check(T)
+            check_involution_symmetry(overflowing_box(Group(8)))
 
 
 class TestEdgeCases:

@@ -67,6 +67,21 @@ def test_report_bytes_on_product_groups(fixture_runs):
         assert '"checked": ' in run["report"] and '"mode": "basis"' in run["report"]
 
 
+def test_report_bytes_on_overflow(fixture_runs):
+    # one value near the float limit: each run exits 2 with one line and writes no report
+    runs = {p.name: sections(p) for p in (fixture_runs / "overflow").iterdir()}
+    names = ["identity_n4-1e+300-check-axioms", "identity_n4-1e+300-check-axioms-mode-sampled",
+             "identity_n4-1e+300-classify-conv", "identity_n4-1e+308-check-axioms",
+             "identity_n4-1e+308-check-axioms-mode-sampled",
+             "gaussian_pair_s64-1e+308-verify-twisted"]
+    assert sorted(runs) == sorted(f"{name}{sink}.txt" for name in names
+                                  for sink in ("", "-stdout"))
+    for name, run in runs.items():
+        assert run["argv"].startswith("argv: ") and "--input <work>/" in run["argv"]
+        assert (run["exit"], run["stdout"], run["report"]) == ("exit: 2", "", ""), name
+        assert run["stderr"].startswith("error: ") and run["stderr"].count("\n") == 1, name
+
+
 def sections(path: pathlib.Path) -> dict:
     """The argv, exit, stdout, stderr and report sections of one recorded run."""
     text = path.read_text(encoding="utf-8")

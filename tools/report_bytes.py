@@ -12,8 +12,8 @@ fixtures and workloads hold only cyclic operators, so `check-axioms --mode
 basis` also runs on the transform tables of PRODUCT_GROUPS, built here with
 numpy, once clean and once with one planted entry (OUTDIR/product).  The
 OVERFLOW runs take a fixture with one value raised near the float limit, whose
-products overflow, so that the report would hold a NaN or an infinity, to a
-file and to stdout (OUTDIR/overflow).  Then,
+products overflow, so that the report would hold a NaN or an infinity, or
+whose images themselves overflow, to a file and to stdout (OUTDIR/overflow).  Then,
 for each seed (`--seeds` with no value runs the fixtures only), the
 requests that `perfbench/workloads.py` generates: `cli_workload`'s commands
 and `signal_algebra`'s library calls.  Each CLI run goes in-process through
@@ -49,9 +49,12 @@ REPLACEMENTS = {"drop": DROP, "null": None, "true": True, "str": "x", "list": []
                 "minus-one": -1, "one-and-a-half": 1.5, "2-pow-70": 2 ** 70,
                 "10-pow-400": 10 ** 400}
 PRODUCT_GROUPS = ((2, 3), (4, 6), (3, 2, 2), (2, 64))
-# (fixture, keys of the value set to [value, 0.0], value, argvs): products overflow to inf
+# (fixture, keys of the value set to [value, 0.0], value, argvs): products overflow to
+# inf, and at 1e308 so do the operator's own images of sampled signals
 OVERFLOW = (("identity_n4", ("columns", 0, 0), 1e300,
              (["check-axioms"], ["check-axioms", "--mode", "sampled"], ["classify-conv"])),
+            ("identity_n4", ("columns", 0, 0), 1e308,
+             (["check-axioms"], ["check-axioms", "--mode", "sampled"])),
             ("gaussian_pair_s64", ("f", "values", 0, 0), 1e308, (["verify-twisted"],)))
 
 
