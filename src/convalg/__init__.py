@@ -7,8 +7,7 @@ from .convhom import ConvClassification, classify, construct
 from .exchange import (ExchangeClassification, check_involution_symmetry,
                        classify_exchange, classify_fourier_exchange,
                        construct_exchange)
-from .groups import (Group, Signal, constant, convolve, delta, dft,
-                     expectation, idft, pointwise_mul)
+from .groups import Group, Signal, convolve, delta, dft, idft, pointwise_mul
 from .intertwine import (IntertwinerClassification, classify_intertwiner,
                          construct_intertwiner)
 from .operators import (AxiomReport, Operator, Witness, apply,

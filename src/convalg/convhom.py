@@ -7,8 +7,9 @@ so T is determined by a support set E and a frequency map sigma:
 
     T(f)(eta) = chi_E(eta) * fhat(sigma(eta))
 
-classify() recovers (E, sigma) or raises the step at which the row
-structure breaks; construct() builds the table back from (E, sigma).
+classify() recovers (E, sigma) once the basis check passes, each row judged
+zero or a character by groups.snap_characters, or raises the step at which
+the row structure breaks; construct() builds the table back from (E, sigma).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AxiomViolation, NotRootOfUnity, RowNotHomomorphic
-from .groups import SNAP_FLOOR, Group, nearest_characters, unit_roots
+from .groups import SNAP_FLOOR, Group, nearest_characters, snap_characters, unit_roots
 from .operators import DEFAULT_TOL, Operator, check_conv_homomorphism, rel_residual
 
 
@@ -35,10 +36,10 @@ class ConvClassification:
 def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
     """Recover (support, sigma) from a dense operator passing the basis check.
 
-    Per row eta: the value at the identity column snaps to 0 (whole row must
-    vanish; eta excluded) or to 1 (the row must lie within SNAP_FLOOR * tol,
-    in sup distance, of its nearest character k -> e^{-2i pi k sigma / n}).
-    Raises RowNotHomomorphic / NotRootOfUnity on rows of neither shape, and
+    Each row is then judged by groups.snap_characters at SNAP_FLOOR * tol: it
+    vanishes (eta excluded), or it has sup norm 1 and lies within that gate, in
+    sup distance, of its nearest character k -> e^{-2i pi k sigma / n}.  Raises
+    RowNotHomomorphic / NotRootOfUnity at the first row of neither shape, and
     AxiomViolation when the basis check itself fails at tol.
     """
     if not T.is_dense:
@@ -48,30 +49,17 @@ def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
     report = check_conv_homomorphism(T, "basis", tol=tol)
     if not report.passed:
         raise AxiomViolation(report)
-    n = T.group.n
-    table = T.table
-    exponents, distances = nearest_characters(table)
-    support: list[int] = []
-    sigma: dict[int, int] = {}
-    snap_window = SNAP_FLOOR * tol
-    for eta in range(n):
-        row = table[eta]
-        v0 = row[0]
-        if abs(v0) <= snap_window:
-            row_max = float(np.max(np.abs(row)))
-            if row_max > snap_window:
-                raise RowNotHomomorphic(
-                    eta, complex(v0), message=f"row {eta}: vanishes at the identity column "
-                                              f"but not everywhere (max {row_max:.3e})")
-            continue
-        if abs(v0 - 1.0) > snap_window:
-            raise RowNotHomomorphic(eta, complex(v0))
-        if distances[eta] > snap_window:
-            raise NotRootOfUnity(eta, complex(row[1 % n]), float(distances[eta]))
-        support.append(eta)
-        sigma[eta] = int(-exponents[eta]) % n
-    residual = rel_residual(table, construct(T.group, support, sigma).table)
-    return ConvClassification(tuple(support), dict(sigma), residual)
+    n, table = T.group.n, T.table
+    m, dist = nearest = nearest_characters(table)
+    on, canonical, fails = snap_characters(table, SNAP_FLOOR * tol, nearest)
+    bad = np.flatnonzero(fails)
+    if bad.size:
+        eta = int(bad[0])
+        if fails[eta] == 1:
+            raise RowNotHomomorphic(eta, float(np.max(np.abs(table[eta]))))
+        raise NotRootOfUnity(eta, complex(table[eta, 1 % n]), float(dist[eta]))
+    sigma = {eta: int(-m[eta]) % n for eta in np.flatnonzero(on).tolist()}
+    return ConvClassification(tuple(sigma), sigma, rel_residual(table, canonical))
 
 
 def construct(group: Group, support, sigma: Mapping[int, int]) -> Operator:

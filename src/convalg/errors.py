@@ -39,10 +39,10 @@ class ClassificationError(ConvalgError):
     fields: tuple[str, ...] = ()
     template = ""
 
-    def __init__(self, *values: Any, message: str | None = None):
-        """One value per field, in order; message= replaces the template's message."""
+    def __init__(self, *values: Any):
+        """One value per field, in order."""
         self.details = dict(zip(self.fields, values, strict=True))
-        super().__init__(message or self.template.format(**self.details))
+        super().__init__(self.template.format(**self.details))
 
     def __getattr__(self, name: str) -> Any:
         # details is the one store, so a key added after raising reads back too
@@ -59,8 +59,8 @@ REJECTIONS = (
     # convolution-homomorphism classifier
     ("AxiomViolation", "report",
      "operator is not a convolution homomorphism (residual {report.max_residual:.3e})"),
-    ("RowNotHomomorphic", "eta value",
-     "row {eta}: value at the identity column is {value!r}, which snaps to neither 0 nor 1"),
+    ("RowNotHomomorphic", "eta max_abs",
+     "row {eta}: sup norm {max_abs!r} is within tolerance of neither 0 nor 1"),
     ("NotRootOfUnity", "eta z deviation",
      "row {eta} (generator value {z!r}) is {deviation:.3e} away from its nearest character"),
     # exchange-map classifier

@@ -7,15 +7,15 @@ A Signal is a complex-valued function on such a group.  The algebra:
     (f * g)(x)   = sum_t f(t) g(x - t)          (convolution, counting measure)
     (f . g)(x)   = f(x) g(x)                    (pointwise product)
     fhat(eta)    = sum_k f(k) e^{-2i pi k.eta}   (transform; k.eta = sum k_i eta_i / n_i)
-    E[f]         = sum_j f(j) = fhat(0)
 
 The inverse transform carries the 1/order factor.  Transforms are numpy.fft
 n-dimensional FFTs over the factor axes, for any moduli; convolution goes
 through the convolution theorem, f * g = idft(dft(f) . dft(g)).
 unit_roots holds the e^{2i pi m / n} lattice that the classifiers build
 their tables from; nearest_characters recovers the exponent of sampled
-characters (the Z/n and circle-grid rows), and character_certified settles
-their character equation by the distance to that character.
+characters (the Z/n and circle-grid rows), character_certified settles
+their character equation by the distance to that character, and
+snap_characters judges each row that passed it to be zero or a character.
 """
 
 from __future__ import annotations
@@ -153,16 +153,6 @@ def delta(group: Group, k: Optional[Element] = None) -> Signal:
     return Signal(group, v)
 
 
-def constant(group: Group, c: complex = 1.0) -> Signal:
-    """The constant signal c * (1, 1, ..., 1)."""
-    return Signal(group, np.full(group.order, c, dtype=np.complex128))
-
-
-def expectation(a: Signal) -> complex:
-    """E[a] = sum of all entries; equals the transform of a at 0."""
-    return complex(np.sum(a.values))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def pointwise_mul(f: Signal, g: Signal) -> Signal:
     """Entrywise product f.g."""
@@ -237,3 +227,24 @@ def character_certified(rows, tol: float, nearest) -> np.ndarray:
     _, d = nearest
     e = np.max(np.abs(rows), axis=-1)
     return np.minimum(3 * d + d * d, e + e * e) + 64 * np.finfo(float).eps <= tol
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def snap_characters(rows, gate: float, nearest) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of rows (r, n), past its character equation, judged zero or a character.
+
+    A row within gate in sup norm vanishes.  Any other row fails gate 1 unless its
+    sup norm is within gate of 1, and else gate 2 unless it lies within gate of
+    its nearest character (nearest is nearest_characters(rows)); a NaN fails.
+    Returns (on, canonical, fails): on is False where the row vanishes, canonical
+    is k -> e^{2i pi m k / n} on the rows that are on and 0 elsewhere, and fails
+    is the gate that each row fails, 0 where it fails none.
+    """
+    m, dist = nearest
+    sup = np.max(np.abs(rows), axis=-1)
+    on = ~(sup <= gate)
+    fails = np.where(~(np.abs(sup - 1.0) <= gate), 1, np.where(~(dist <= gate), 2, 0)) * on
+    canonical = np.zeros(np.shape(rows), dtype=np.complex128)
+    n = canonical.shape[-1]
+    canonical[on] = unit_roots(m[on, None] * np.arange(n), n)
+    return on, canonical, fails

@@ -18,8 +18,9 @@ failing case: the first pair in row-major order, or the first draw.  The
 sampled checkers (here and in exchange) stack their draws, products and
 convolutions and score every case in one check_identities pass; only the
 operator's own evaluations run signal by signal.  Each stack is validated
-once (groups.validated) and the operator meets its rows as read-only views;
-its output is checked by the Signal it returns, and by nothing else.
+once (groups.validated).  A black box meets its rows as read-only views, its
+output checked by the Signal it returns; a dense image is table @ row, left
+unchecked, so one that overflows reaches its residual as NaN (np.errstate).
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ def apply_each(T: Operator, *stacks: np.ndarray) -> list[np.ndarray]:
     out = [np.empty(s.shape, dtype=np.complex128) for s in stacks]
     for i in range(len(stacks[0])):
         for s, o in zip(stacks, out):
-            o[i] = apply(T, Signal._view(group, s[i])).values
+            o[i] = T.table @ s[i] if T.is_dense else apply(T, Signal._view(group, s[i])).values
     return out
 
 

@@ -27,7 +27,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (CharacterEquationViolation, NotUnimodular, SnapFailure)
-from .groups import SNAP_FLOOR, Group, character_certified, nearest_characters, unit_roots
+from .groups import (SNAP_FLOOR, Group, character_certified, nearest_characters,
+                     snap_characters, unit_roots)
 from .operators import DEFAULT_TOL, AxiomReport, character_report, rel_residual
 
 
@@ -103,25 +104,29 @@ def check_character_equation(h: np.ndarray, tol: float = DEFAULT_TOL) -> AxiomRe
 def recover_frequency(h: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Frequency a in (-M/2, M/2] of a sampled character h ~ e^{2i pi a x}.
 
-    h must be unimodular within tol, and within tol in sup distance of the
-    character at its periodogram peak (groups.nearest_characters).  The
-    Nyquist character e^{i pi M x} gets a = +M/2.  The caller is responsible
-    for h having passed the character equation.
+    groups.snap_characters at gate tol holds h unimodular (NotUnimodular, also
+    when h vanishes) and within tol of the character at its periodogram peak
+    (SnapFailure).  The Nyquist character e^{i pi M x} gets a = +M/2.  The
+    caller is responsible for h having passed the character equation.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    (m,), (dist,) = nearest_characters(h[None])
-    return _snap_frequency(float(np.max(np.abs(h))), int(m), float(dist), len(h), tol)
+    h = np.asarray(h, dtype=np.complex128)[None]
+    nearest = nearest_characters(h)
+    (on,), _, (fail,) = snap_characters(h, tol, nearest)
+    if fail or not on:
+        raise _rejection(h, nearest, 0, fail or 1)
+    return int(_centred(nearest[0][0], h.shape[-1]))
 
 
-def _snap_frequency(sup: float, m: int, dist: float, M: int, tol: float) -> int:
-    """recover_frequency's gates on a kernel of sup norm sup whose nearest
-    character, e^{2i pi m x} with m in [0, M), lies dist away in sup distance."""
-    if abs(sup - 1.0) > tol:
-        raise NotUnimodular(sup)
-    a = m - M if m > M // 2 else m
-    if dist > tol:
-        raise SnapFailure(a, dist)
-    return a
+def _centred(m, M: int):
+    """Exponents m in [0, M) moved to (-M/2, M/2]."""
+    return np.where(m > M // 2, m - M, m)
+
+
+def _rejection(rows: np.ndarray, nearest, r: int, gate: int) -> Exception:
+    """NotUnimodular for row r failing snap_characters' gate 1, SnapFailure for gate 2."""
+    if gate == 1:
+        return NotUnimodular(float(np.max(np.abs(rows[r]))))
+    return SnapFailure(int(_centred(nearest[0][r], rows.shape[-1])), float(nearest[1][r]))
 
 
 @dataclass(frozen=True)
@@ -137,41 +142,29 @@ def classify_torus_operator(family: KernelFamily,
                             tol: float = DEFAULT_TOL) -> TorusClassification:
     """Classify the kernels of (T f)(xi) = chi_E(xi) fhat(phi(xi)).
 
-    Per frequency: a kernel below tol in sup norm leaves the support; any
-    other kernel must satisfy the character equation, by the bound of
-    groups.character_certified or else by the check (whose violation is
-    raised with the offending xi).  A passing kernel within SNAP_FLOOR * tol
-    in sup norm leaves the support too (the check passes c * chi for c up to
-    about tol (1 + 2 tol)); the rest yield phi(xi) by recover_frequency's
-    unimodularity and snap gates, at the same floor, on the exponent and
-    distance of the family's one nearest_characters call, which also feeds
-    the bound.  The residual is the distance from the kernels to the
-    canonical ones.
+    Every kernel above tol in sup norm must first satisfy the character
+    equation, by the bound of groups.character_certified or else by the check,
+    in xi order; a violation names its xi.  groups.snap_characters then judges
+    every kernel at SNAP_FLOOR * tol (the check passes c * chi for c up to about
+    tol (1 + 2 tol)): zero, or a character whose exponent a gives phi(xi) = -a;
+    a gate's rejection carries xi too.  One nearest_characters call on the
+    family feeds the bound and the gates.  The residual is the distance from
+    the kernels to the canonical ones.
     """
-    support: list[int] = []
-    freq_map: dict[int, int] = {}
-    canonical = np.zeros_like(family.kernels)
-    nearest = nearest_characters(family.kernels)        # one call serves both uses
-    for xi, h, certified, m, dist in zip(family.frequencies, family.kernels,
-                                         character_certified(family.kernels, tol, nearest),
-                                         *nearest):
-        sup = float(np.max(np.abs(h)))
-        if sup <= tol:                  # skips the check, as most zero kernels are exact
-            continue
-        if not certified:
-            report = check_character_equation(h, tol)
-            if not report.passed:
-                raise CharacterEquationViolation(xi, report)
-        if sup <= SNAP_FLOOR * tol:
-            continue
-        try:
-            # a kernel passing the check at tol lies ~2 tol off a character
-            a = _snap_frequency(sup, int(m), float(dist), family.grid.M, SNAP_FLOOR * tol)
-        except (NotUnimodular, SnapFailure) as exc:
-            exc.details["xi"] = xi
-            raise
-        support.append(xi)
-        freq_map[xi] = -a
-        canonical[xi + family.N] = character(family.grid, a)
-    residual = rel_residual(family.kernels, canonical)
-    return TorusClassification(tuple(support), freq_map, residual)
+    kernels = family.kernels
+    nearest = nearest_characters(kernels)           # one call serves both uses
+    checked = ~(np.max(np.abs(kernels), axis=-1) <= tol)    # most zero kernels are exact
+    for r in np.flatnonzero(checked & ~character_certified(kernels, tol, nearest)).tolist():
+        report = check_character_equation(kernels[r], tol)
+        if not report.passed:
+            raise CharacterEquationViolation(r - family.N, report)
+    on, canonical, fails = snap_characters(kernels, SNAP_FLOOR * tol, nearest)
+    bad = np.flatnonzero(fails)
+    if bad.size:
+        exc = _rejection(kernels, nearest, bad[0], fails[bad[0]])
+        exc.details["xi"] = int(bad[0]) - family.N
+        raise exc
+    rows = np.flatnonzero(on)
+    freq_map = dict(zip((rows - family.N).tolist(),
+                        (-_centred(nearest[0][rows], family.grid.M)).tolist()))
+    return TorusClassification(tuple(freq_map), freq_map, rel_residual(kernels, canonical))

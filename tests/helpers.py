@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from convalg import (Group, Operator, PlaneGrid, Signal, apply, constant, convolve, delta,
-                     errors, pointwise_mul, rel_residual)
+from convalg import (Group, Operator, PlaneGrid, Signal, apply, construct, convhom, convolve,
+                     delta, errors, pointwise_mul, rel_residual)
 from convalg.errors import ConvalgError
 from convalg.exchange import SWEEP_SIGNALS, ExchangeClassification, construct_exchange
 from convalg.groups import convolve_values
@@ -61,6 +61,31 @@ def disc_signal(group: Group, rng: np.random.Generator) -> Signal:
     r = np.sqrt(rng.uniform(0, 1, group.order))
     th = rng.uniform(0, 2 * np.pi, group.order)
     return Signal(group, r * np.exp(1j * th))
+
+
+def naive_snap_characters(rows, gate: float, nearest):
+    """groups.snap_characters, row by row and gate by gate, in Python floats.
+
+    The magnitudes are numpy's: its complex abs differs from Python's hypot in
+    the last bit on about a third of the entries.
+    """
+    m, dist = nearest
+    rows = np.asarray(rows, dtype=complex)
+    n = rows.shape[1]
+    on, fails = np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=int)
+    canonical = np.zeros(rows.shape, dtype=complex)
+    for r, row in enumerate(rows):
+        mags = np.abs(row).tolist()
+        sup = math.nan if any(map(math.isnan, mags)) else max(mags)
+        if sup <= gate:             # a NaN is never within the gate
+            continue
+        on[r] = True
+        if not abs(sup - 1.0) <= gate:
+            fails[r] = 1
+        elif not dist[r] <= gate:
+            fails[r] = 2
+        canonical[r] = np.exp(2j * np.pi * np.array([int(m[r]) * k % n for k in range(n)]) / n)
+    return on, canonical, fails
 
 
 def naive_character_residuals(rows: np.ndarray, group: Group) -> np.ndarray:
@@ -120,7 +145,7 @@ def naive_exchange_axioms(T: Operator, count: int = 64, seed: int = 0,
     group = T.group
     rng = np.random.default_rng(seed)
     pairs = [(disc_signal(group, rng), disc_signal(group, rng)) for _ in range(count)]
-    pairs += [(constant(group, c), disc_signal(group, rng))
+    pairs += [(Signal(group, np.full(group.order, c, dtype=complex)), disc_signal(group, rng))
               for c in (0.0, 1.0, 2.0, 0.5 + 0.25j)]
     pairs += [(delta(group, group.element(j)), disc_signal(group, rng))
               for j in range(min(group.order, 4))]
@@ -150,7 +175,8 @@ def naive_involution(T: Operator, tol: float = DEFAULT_TOL, samples: int = 16,
 
 def beta_of(T: Operator, c: complex) -> complex:
     """The scalar action beta(c) = E[T((c/n) * ones)]."""
-    return complex(np.sum(apply(T, constant(T.group, c / T.group.order)).values))
+    n = T.group.order
+    return complex(np.sum(apply(T, Signal(T.group, np.full(n, c / n, dtype=complex))).values))
 
 
 def naive_is_delta(values: np.ndarray, tol: float):
@@ -171,8 +197,8 @@ def naive_classify_exchange(T: Operator, tol: float = DEFAULT_TOL, seed: int = 0
     if n < 2:
         raise ValueError("exchange classification needs n >= 2")
     residual = 0.0
-    for name, sig in (("delta_0", delta(group, 0)), ("ones", constant(group, 1.0)),
-                      ("zeros", constant(group, 0.0))):
+    for name, sig in (("delta_0", delta(group, 0)), ("ones", Signal(group, np.ones(n))),
+                      ("zeros", Signal(group, np.zeros(n)))):
         r = rel_residual(apply(T, sig).values, sig.values)
         if not r <= tol:
             raise errors.FixedPointViolation(name, r)
@@ -226,6 +252,22 @@ def recording(group: Group, fn, seen: list) -> Operator:
         seen.append(a.values.tobytes())
         return fn(a)
     return Operator.from_function(group, run)
+
+
+# -- tables that reach classify's gates once the basis check is stubbed to pass ----
+
+def past_the_check(kind: str) -> np.ndarray:
+    """An n = 8 transform table whose row 5 is 0.5 chi ("norm") or off the root lattice
+    ("lattice"); the basis check rejects both, so the tests stub it."""
+    table = construct(Group(8), range(8), {e: e for e in range(8)}).table.copy()
+    table[5] = 0.5 * table[5] if kind == "norm" else np.exp(2j * np.pi * 1.02 * np.arange(8) / 8)
+    return table
+
+
+def passing_check(monkeypatch):
+    """Stub convhom's basis check to pass every table."""
+    monkeypatch.setattr(convhom, "check_conv_homomorphism",
+                        lambda T, mode, tol: AxiomReport(True, 0.0, tol))
 
 
 # -- the intertwiner's axiom oracle: translations and modulations -------------

@@ -7,13 +7,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from convalg import cli, errors, jsonio, torus
+from convalg import cli, convhom, errors, jsonio, torus
 from convalg.cli import run
 from convalg.groups import Group
 from convalg.intertwine import construct_intertwiner
 from convalg.operators import AxiomReport, Operator
 
-from helpers import CRASH_CASES, edited_fixture
+from helpers import CRASH_CASES, edited_fixture, passing_check, past_the_check
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -48,6 +48,24 @@ class TestClassifyConv:
         code = run(["classify-conv", "--input", str(FIXTURES / "dft_n8.json"),
                     "--n", "4", "--output", str(tmp_path / "r.json")])
         assert code == 2
+
+
+    @pytest.mark.parametrize("kind, error", [("norm", "RowNotHomomorphic"),
+                                             ("lattice", "NotRootOfUnity")])
+    def test_post_check_rejection_in_report(self, tmp_path, monkeypatch, kind, error):
+        # the basis check stubbed to pass: row 5 reaches snap_characters' gates
+        passing_check(monkeypatch)
+        table = past_the_check(kind)
+        with pytest.raises(getattr(errors, error)) as exc:
+            convhom.classify(Operator.from_table(Group(8), table))
+        path, out = tmp_path / "op.json", tmp_path / "rep.json"
+        path.write_text(json.dumps(jsonio.operator_to_json(Operator.from_table(Group(8), table))))
+        assert run(["classify-conv", "--input", str(path), "--output", str(out)]) == 1
+        report = read(out)["error"]
+        assert (report["type"], report["message"]) == (error, str(exc.value))
+        assert report["details"] == {k: json.loads(json.dumps(jsonio.report_value_to_json(v)))
+                                     for k, v in exc.value.details.items()}
+        assert report["details"]["eta"] == 5
 
 
 class TestCheckAxioms:
@@ -369,6 +387,20 @@ class TestErrorHandling:
             assert str(p) in err
             assert "cannot write the report" not in err
             assert [f.name for f in tmp_path.iterdir()] == ["big.json"]
+
+    def test_overflowing_sampled_image(self, tmp_path, capsys):
+        # at 1e308 the operator's own image of a sampled signal overflows; it reaches the
+        # residual as NaN, as an overflowing product does, and the error names the input
+        op = read(FIXTURES / "identity_n4.json")
+        op["columns"][0][0] = [1e308, 0.0]
+        p, out = tmp_path / "big.json", tmp_path / "rep.json"
+        p.write_text(json.dumps(op))
+        assert run(["check-axioms", "--input", str(p), "--mode", "sampled",
+                    "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: --input {p} is too large to check "
+                                           "(Out of range float values are not JSON compliant: "
+                                           "nan)\n")
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_pair_entry(self, tmp_path, capsys):

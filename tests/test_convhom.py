@@ -4,6 +4,9 @@ import pytest
 from convalg import (Group, Operator, check_conv_homomorphism, classify,
                      construct, rel_residual)
 from convalg.errors import AxiomViolation, NotRootOfUnity, RowNotHomomorphic
+from convalg.groups import nearest_characters
+
+from helpers import passing_check, past_the_check
 
 
 def random_support_sigma(n, rng):
@@ -86,6 +89,33 @@ class TestClassify:
         T = Operator.from_table(Group(n), table)
         with pytest.raises((NotRootOfUnity, AxiomViolation)):
             classify(T)
+
+
+class TestPostCheckGates:
+    def test_row_of_neither_norm(self, monkeypatch):
+        passing_check(monkeypatch)
+        table = past_the_check("norm")
+        with pytest.raises(RowNotHomomorphic) as exc:
+            classify(Operator.from_table(Group(8), table))
+        assert exc.value.details == {"eta": 5, "max_abs": float(np.max(np.abs(table[5])))}
+        assert str(exc.value).startswith("row 5: sup norm 0.5")
+
+    def test_row_off_the_root_lattice(self, monkeypatch):
+        passing_check(monkeypatch)
+        table = past_the_check("lattice")
+        with pytest.raises(NotRootOfUnity) as exc:
+            classify(Operator.from_table(Group(8), table))
+        deviation = float(nearest_characters(table)[1][5])
+        assert exc.value.details == {"eta": 5, "z": complex(table[5, 1]), "deviation": deviation}
+        assert 0.1 < deviation < 0.2          # past the gate at SNAP_FLOOR * tol
+
+    def test_first_failing_row_is_named(self, monkeypatch):
+        passing_check(monkeypatch)
+        table = past_the_check("lattice")
+        table[2] *= 0.5
+        with pytest.raises(RowNotHomomorphic) as exc:
+            classify(Operator.from_table(Group(8), table))
+        assert exc.value.eta == 2
 
 
 class TestConstruct:

@@ -20,19 +20,19 @@ from convalg.operators import AxiomReport
 
 REPORT = AxiomReport(False, 0.0123456, 1e-9)
 WITNESS = object()
+NAN = float("nan")
 
 # (name, positional args, keyword args, str(exc), details in order)
 CASES = [
     ("AxiomViolation", (REPORT,), {},
      "operator is not a convolution homomorphism (residual 1.235e-02)",
      {"report": REPORT}),
-    ("RowNotHomomorphic", (3, 0.5 + 0.25j), {},
-     "row 3: value at the identity column is (0.5+0.25j), which snaps to neither 0 nor 1",
-     {"eta": 3, "value": 0.5 + 0.25j}),
-    ("RowNotHomomorphic", (2, 1e-12 + 0j),
-     {"message": "row 2: vanishes at the identity column but not everywhere (max 7.000e-01)"},
-     "row 2: vanishes at the identity column but not everywhere (max 7.000e-01)",
-     {"eta": 2, "value": 1e-12 + 0j}),
+    ("RowNotHomomorphic", (3, 0.5), {},
+     "row 3: sup norm 0.5 is within tolerance of neither 0 nor 1",
+     {"eta": 3, "max_abs": 0.5}),
+    ("RowNotHomomorphic", (2, NAN), {},
+     "row 2: sup norm nan is within tolerance of neither 0 nor 1",
+     {"eta": 2, "max_abs": NAN}),
     ("NotRootOfUnity", (5, -0.25 + 1j, 1.23456e-5), {},
      "row 5 (generator value (-0.25+1j)) is 1.235e-05 away from its nearest character",
      {"eta": 5, "z": -0.25 + 1j, "deviation": 1.23456e-5}),

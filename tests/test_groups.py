@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from convalg import (Group, Operator, PhaseSpaceFunction, PlaneGrid, Signal, constant,
-                     convolve, delta, dft, expectation, idft, pointwise_mul)
+from convalg import (Group, Operator, PhaseSpaceFunction, PlaneGrid, Signal, convolve, delta,
+                     dft, idft, pointwise_mul)
 from convalg.errors import GroupMismatch
+from convalg.groups import nearest_characters, snap_characters, unit_roots
 from convalg.operators import apply_each
 
-from helpers import direct_convolve, direct_dft, disc_signal
+from helpers import direct_convolve, direct_dft, disc_signal, naive_snap_characters
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 
 def sig(group, values):
@@ -91,18 +96,6 @@ class TestDelta:
         assert a[(1, 5)] == 5
 
 
-class TestConstant:
-    def test_ones(self):
-        assert np.array_equal(constant(Group(3), 1).values, np.ones(3))
-
-    def test_zeros(self):
-        assert np.array_equal(constant(Group(3), 0).values, np.zeros(3))
-
-    def test_complex_constant(self):
-        assert np.array_equal(constant(Group(3), 2 + 1j).values,
-                              np.full(3, 2 + 1j))
-
-
 class TestConvolve:
     def test_delta_shift_rule(self):
         # delta_k * delta_l = delta_{k+l}
@@ -117,8 +110,8 @@ class TestConvolve:
         g = Group(5)
         rng = np.random.default_rng(1)
         a = disc_signal(g, rng)
-        got = convolve(a, constant(g, 1))
-        assert np.allclose(got.values, expectation(a) * np.ones(5))
+        got = convolve(a, sig(g, np.ones(5)))
+        assert np.allclose(got.values, np.sum(a.values) * np.ones(5))
 
     def test_small_example_against_direct_sum(self):
         g = Group(3)
@@ -165,12 +158,12 @@ class TestPointwiseMul:
     def test_ones_is_identity(self):
         g = Group(5)
         a = disc_signal(g, np.random.default_rng(6))
-        assert np.allclose(pointwise_mul(a, constant(g, 1)).values, a.values)
+        assert np.allclose(pointwise_mul(a, sig(g, np.ones(5))).values, a.values)
 
     def test_zeros_absorbs(self):
         g = Group(5)
         a = disc_signal(g, np.random.default_rng(7))
-        assert np.array_equal(pointwise_mul(a, constant(g, 0)).values, np.zeros(5))
+        assert np.array_equal(pointwise_mul(a, sig(g, np.zeros(5))).values, np.zeros(5))
 
     def test_deltas(self):
         g = Group(4)
@@ -194,7 +187,7 @@ class TestDft:
 
     def test_ones_transforms_to_scaled_delta(self):
         n = 6
-        got = dft(constant(Group(n), 1))
+        got = dft(sig(Group(n), np.ones(n)))
         assert np.allclose(got.values, n * delta(Group(n), 0).values, atol=1e-12)
 
     def test_matches_direct_sum(self):
@@ -229,7 +222,7 @@ class TestIdft:
 
     def test_ones_inverts_to_delta(self):
         g = Group(5)
-        assert np.allclose(idft(constant(g, 1)).values, delta(g, 0).values,
+        assert np.allclose(idft(sig(g, np.ones(5))).values, delta(g, 0).values,
                            atol=1e-12)
         assert np.allclose(idft(sig(g, 5 * delta(g, 0).values)).values,
                            np.ones(5), atol=1e-12)
@@ -243,23 +236,91 @@ class TestIdft:
 
 
 class TestExpectation:
+    # E[f] = sum_j f(j), read off the transform at 0 and multiplicative under convolution
     def test_ones(self):
-        assert expectation(constant(Group(5), 1)) == pytest.approx(5)
+        assert complex(dft(sig(Group(5), np.ones(5))).values[0]) == pytest.approx(5)
 
     def test_delta(self):
-        assert expectation(delta(Group(9), 4)) == pytest.approx(1)
+        assert complex(dft(delta(Group(9), 4)).values[0]) == pytest.approx(1)
 
     def test_direct_sum(self):
-        assert expectation(sig(Group(3), [1, 1j, -1])) == pytest.approx(1j)
+        assert complex(dft(sig(Group(3), [1, 1j, -1])).values[0]) == pytest.approx(1j)
 
     def test_equals_transform_at_zero(self):
         g = Group(7)
         a = disc_signal(g, np.random.default_rng(10))
-        assert expectation(a) == pytest.approx(complex(dft(a).values[0]))
+        assert complex(np.sum(a.values)) == pytest.approx(complex(dft(a).values[0]))
 
     def test_multiplicative_under_convolution(self):
         g = Group(6)
         rng = np.random.default_rng(11)
         a, b = disc_signal(g, rng), disc_signal(g, rng)
-        assert expectation(convolve(a, b)) == pytest.approx(
-            expectation(a) * expectation(b))
+        assert complex(np.sum(convolve(a, b).values)) == pytest.approx(
+            complex(np.sum(a.values) * np.sum(b.values)))
+
+
+def last_within(gate: float, toward: float) -> float:
+    """The float farthest from 1 toward `toward` with abs(v - 1) <= gate, as computed."""
+    v = 1.0 + gate if toward > 1 else 1.0 - gate
+    while not abs(v - 1.0) <= gate:
+        v = np.nextafter(v, 1.0)
+    while abs(np.nextafter(v, toward) - 1.0) <= gate:
+        v = np.nextafter(v, toward)
+    return float(v)
+
+
+def edge_rows(n: int, gate: float, m: int) -> tuple[np.ndarray, list]:
+    """Rows at each gate of snap_characters and one ulp past it, a NaN row, and the
+    (on, fails) that each must give."""
+    chi = unit_roots(m * np.arange(n), n)
+    past = np.nextafter
+    hi, lo = last_within(gate, 2.0), last_within(gate, 0.0)
+    rows, want = [], []
+
+    def row(first, expected, at=0):
+        r = chi.copy() if first is not None else np.zeros(n, dtype=complex)
+        if first is not None:
+            r[at] = first
+        rows.append(r)
+        want.append(expected)
+
+    row(None, (False, 0))                       # zero
+    row(gate, (False, 0)); rows[-1][1:] = 0     # sup norm at the zero gate
+    row(past(gate, 1.0), (True, 1)); rows[-1][1:] = 0
+    row(None, (True, 0)); rows[-1][:] = chi     # the character itself
+    row(hi, (True, 0))                          # sup norm and distance at gate 1's edge
+    row(past(hi, 2.0), (True, 1))
+    if n > 1:                                   # distance alone at gate 2's edge
+        row(lo, (True, 0))
+        row(past(lo, 0.0), (True, 2))
+        row(np.nan, (True, 1), at=n - 1)
+    return np.array(rows), want
+
+
+class TestSnapCharacters:
+    @pytest.mark.parametrize("gate", [4e-12, 4e-9, 1e-3, 0.25])
+    @pytest.mark.parametrize("n", [1, 2, 8, 17])
+    def test_gates_and_one_ulp_past(self, gate, n):
+        rows, want = edge_rows(n, gate, n // 3)
+        on, canonical, fails = snap_characters(rows, gate, nearest_characters(rows))
+        assert list(zip(on.tolist(), fails.tolist())) == want
+        # every row that passes is the character, and a row that vanishes is zero
+        chi = unit_roots(n // 3 * np.arange(n), n)
+        assert all(np.array_equal(c, chi) for c in canonical[on & (fails == 0)])
+        assert not canonical[~on].any()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 32), gate=st.floats(1e-15, 0.25), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_naive_oracle(self, n, gate, seed):
+        # edge rows, and characters scaled or perturbed around the gates
+        rng = np.random.default_rng(seed)
+        edges, _ = edge_rows(n, gate, int(rng.integers(n)))
+        chis = unit_roots(rng.integers(n, size=(6, 1)) * np.arange(n), n)
+        noise = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
+        scale = gate * rng.choice([0.25, 0.5, 1.0, 2.0, 4.0], size=(6, 1))
+        rows = np.concatenate([edges, chis * (1 + scale * noise), chis * scale,
+                               chis * rng.uniform(0, 2, size=(6, 1))])
+        nearest = nearest_characters(rows)
+        got = snap_characters(rows, gate, nearest)
+        want = naive_snap_characters(rows, gate, nearest)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -57,10 +57,10 @@ class TestModulate:
             assert np.allclose(modulate(a, k, phi).values, a.values)
 
     def test_character_row(self):
-        from convalg import constant
+        from convalg import Signal
         g = Group(8)
         phi = PhaseFunction.affine(g, 1, 0)
-        got = modulate(constant(g, 1), 1, phi)
+        got = modulate(Signal(g, np.ones(8)), 1, phi)
         assert np.allclose(got.values, np.exp(2j * np.pi * np.arange(8) / 8))
 
     def test_real_part_rejected(self):

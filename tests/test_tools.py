@@ -17,9 +17,10 @@ def fixture_runs(tmp_path_factory):
 
 
 def test_report_bytes_on_fixtures(fixture_runs):
-    # a bare --seeds records the fixtures, their edits, the product-group and overflow runs only
+    # a bare --seeds records the fixtures, their edits, the product-group, overflow and gates
+    # runs only
     assert sorted(p.name for p in fixture_runs.iterdir()) == [
-        "fixtures", "fixtures-edited", "fixtures-stdout", "overflow", "product"]
+        "fixtures", "fixtures-edited", "fixtures-stdout", "gates", "overflow", "product"]
     for sink in ("fixtures", "fixtures-stdout"):
         runs = sorted((fixture_runs / sink).iterdir())
         assert len(runs) == 7 * len(list((ROOT / "fixtures").glob("*.json")))
@@ -82,6 +83,28 @@ def test_report_bytes_on_overflow(fixture_runs):
         assert run["stderr"].startswith("error: ") and run["stderr"].count("\n") == 1, name
 
 
+def test_report_bytes_on_gates(fixture_runs):
+    # a row at eps chi in a canonical n = 8 table passes the basis check (whose scale is
+    # about 2) up to eps = 2 tol and then vanishes; a kernel at eps chi fails its own check,
+    # and the one at (1 + 2 tol) chi before it sits at the check's edge, within rounding
+    runs = {p.name: sections(p) for p in (fixture_runs / "gates").iterdir()}
+    scales = ("1.5", "2", "2.5", "3")
+    assert sorted(runs) == sorted(
+        [f"n8-eps{s}-{c}.txt" for s in scales for c in ("classify-conv", "check-axioms")]
+        + [f"m64-eps{s}-classify-torus.txt" for s in scales])
+    for s in scales:
+        passed = s in ("1.5", "2")
+        conv = runs[f"n8-eps{s}-classify-conv.txt"]
+        assert conv["exit"] == ("exit: 0" if passed else "exit: 1"), s
+        if passed:
+            assert json.loads(conv["report"])["result"]["support"] == list(range(6))
+        else:
+            assert json.loads(conv["report"])["error"]["type"] == "AxiomViolation"
+        assert runs[f"n8-eps{s}-check-axioms.txt"]["exit"] == ("exit: 0" if passed else "exit: 1")
+        error = json.loads(runs[f"m64-eps{s}-classify-torus.txt"]["report"])["error"]
+        assert error["type"] == "CharacterEquationViolation" and error["details"]["xi"] in (-1, 1)
+
+
 def sections(path: pathlib.Path) -> dict:
     """The argv, exit, stdout, stderr and report sections of one recorded run."""
     text = path.read_text(encoding="utf-8")
@@ -108,7 +131,7 @@ def test_report_bytes_on_workload_seed(tmp_path):
     subprocess.run([sys.executable, str(ROOT / "tools" / "report_bytes.py"), str(ROOT),
                     str(tmp_path), "--seeds", "3"], check=True, timeout=120)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "fixtures", "fixtures-edited", "fixtures-stdout", "overflow", "product", "seed3",
+        "fixtures", "fixtures-edited", "fixtures-stdout", "gates", "overflow", "product", "seed3",
         "signal-algebra"]
     assert all(p.read_text(encoding="utf-8").splitlines()[1] in ("exit: 0", "exit: 1", "exit: 2")
                for p in (tmp_path / "seed3").iterdir())

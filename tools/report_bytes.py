@@ -13,7 +13,11 @@ basis` also runs on the transform tables of PRODUCT_GROUPS, built here with
 numpy, once clean and once with one planted entry (OUTDIR/product).  The
 OVERFLOW runs take a fixture with one value raised near the float limit, whose
 products overflow, so that the report would hold a NaN or an infinity, or
-whose images themselves overflow, to a file and to stdout (OUTDIR/overflow).  Then,
+whose images themselves overflow, to a file and to stdout (OUTDIR/overflow).  The
+gates runs (OUTDIR/gates) put one row at eps times a character into an n = 8
+canonical table, for `classify-conv` and `check-axioms`, and one kernel at eps
+times a character, next to one at (1 + 2 tol) times a character, into an M = 64
+family for `classify-torus`, so that a support decision that moves shows.  Then,
 for each seed (`--seeds` with no value runs the fixtures only), the
 requests that `perfbench/workloads.py` generates: `cli_workload`'s commands
 and `signal_algebra`'s library calls.  Each CLI run goes in-process through
@@ -56,6 +60,9 @@ OVERFLOW = (("identity_n4", ("columns", 0, 0), 1e300,
             ("identity_n4", ("columns", 0, 0), 1e308,
              (["check-axioms"], ["check-axioms", "--mode", "sampled"])),
             ("gaussian_pair_s64", ("f", "values", 0, 0), 1e308, (["verify-twisted"],)))
+# the GATES runs, at --tol GATE_TOL: eps = each of GATE_SCALES times the tol, on both sides
+# of the character check and near the zero gate of the row classifiers
+GATE_TOL, GATE_SCALES = 1e-9, (1.5, 2.0, 2.5, 3.0)
 
 
 def edits(doc: dict):
@@ -171,6 +178,31 @@ def main(argv=None) -> int:
                 argv = [argv[0], "--input", edited, *argv[1:]]
                 record(args.outdir / "overflow" / f"{name}.txt", argv + ["--output", report])
                 record(args.outdir / "overflow" / f"{name}-stdout.txt", argv)
+
+        k = np.arange(8)
+        for scale in GATE_SCALES:
+            eps = scale * GATE_TOL
+            # rows 0..5 are the characters of sigma(eta) = 3 eta mod 8, row 6 is 0, and
+            # row 7 is eps times the character of sigma = 5
+            table = np.zeros((8, 8), dtype=complex)
+            table[:6] = np.exp(-2j * np.pi * ((3 * np.arange(6)[:, None] * k) % 8) / 8)
+            table[7] = eps * np.exp(-2j * np.pi * ((5 * k) % 8) / 8)
+            columns = np.stack((table.T.real, table.T.imag), -1).tolist()
+            pathlib.Path(edited).write_text(json.dumps(
+                {"schema": 1, "group": [8], "columns": columns}), encoding="utf-8")
+            for command in ("classify-conv", "check-axioms"):
+                record(args.outdir / "gates" / f"n8-eps{scale:g}-{command}.txt",
+                       [command, "--input", edited, "--tol", repr(GATE_TOL), "--output", report])
+            # kernels at xi = -2..2: chi_2, (1 + 2 tol) chi_-3, ones, eps chi_5, 0
+            x = np.arange(64) / 64
+            kernels = [np.exp(2j * np.pi * 2 * x), (1 + 2 * GATE_TOL) * np.exp(-2j * np.pi * 3 * x),
+                       np.ones(64), eps * np.exp(2j * np.pi * 5 * x), np.zeros(64)]
+            pathlib.Path(edited).write_text(json.dumps({"schema": 1, "M": 64, "N": 2, "kernels": [
+                [xi, np.stack((h.real, h.imag), -1).tolist()] for xi, h in
+                zip(range(-2, 3), kernels)]}), encoding="utf-8")
+            record(args.outdir / "gates" / f"m64-eps{scale:g}-classify-torus.txt",
+                   ["classify-torus", "--input", edited, "--tol", repr(GATE_TOL),
+                    "--output", report])
 
         if args.seeds:
             import workloads
