@@ -195,7 +195,8 @@ def main(argv=None) -> int:
                        [command, "--input", edited, "--tol", repr(GATE_TOL), "--output", report])
             # kernels at xi = -2..2: chi_2, (1 + 2 tol) chi_-3, ones, eps chi_5, 0
             x = np.arange(64) / 64
-            kernels = [np.exp(2j * np.pi * 2 * x), (1 + 2 * GATE_TOL) * np.exp(-2j * np.pi * 3 * x),
+            kernels = [np.exp(2j * np.pi * 2 * x),
+                       (1 + 2 * GATE_TOL) * np.exp(-2j * np.pi * 3 * x),
                        np.ones(64), eps * np.exp(2j * np.pi * 5 * x), np.zeros(64)]
             pathlib.Path(edited).write_text(json.dumps({"schema": 1, "M": 64, "N": 2, "kernels": [
                 [xi, np.stack((h.real, h.imag), -1).tolist()] for xi, h in
