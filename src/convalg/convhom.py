@@ -7,9 +7,10 @@ so T is determined by a support set E and a frequency map sigma:
 
     T(f)(eta) = chi_E(eta) * fhat(sigma(eta))
 
-classify() recovers (E, sigma) once the basis check passes, each row judged
-zero or a character by groups.snap_characters, or raises the step at which
-the row structure breaks; construct() builds the table back from (E, sigma).
+classify() recovers (E, sigma) once the basis check passes (on the rows no
+Hyers-Ulam bound certifies, and on all rows only where that fails), each row
+judged zero or a character by groups.snap_characters, or raises the step at
+which the row structure breaks; construct() builds the table back from (E, sigma).
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AxiomViolation, NotRootOfUnity, RowNotHomomorphic
-from .groups import SNAP_FLOOR, Group, nearest_characters, snap_characters, unit_roots
+from .groups import (SNAP_FLOOR, Group, character_certified, nearest_characters,
+                     snap_characters, unit_roots)
 from .operators import DEFAULT_TOL, Operator, check_conv_homomorphism, rel_residual
 
 
@@ -36,21 +38,26 @@ class ConvClassification:
 def classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
     """Recover (support, sigma) from a dense operator passing the basis check.
 
-    Each row is then judged by groups.snap_characters at SNAP_FLOOR * tol: it
-    vanishes (eta excluded), or it has sup norm 1 and lies within that gate, in
-    sup distance, of its nearest character k -> e^{-2i pi k sigma / n}.  Raises
-    RowNotHomomorphic / NotRootOfUnity at the first row of neither shape, and
-    AxiomViolation when the basis check itself fails at tol.
+    The check runs first with the rows that groups.character_certified settles
+    set to 0: a certified row meets the equation within tol at any scale, and
+    zero rows only lower the others' scale, so a pass there is a pass on T.
+    Only where that fails does it run on T, whose report an AxiomViolation
+    carries.  Each row is then judged by groups.snap_characters at SNAP_FLOOR *
+    tol: it vanishes (eta excluded), or it has sup norm 1 and lies within that
+    gate, in sup distance, of its nearest character k -> e^{-2i pi k sigma / n}.
+    Raises RowNotHomomorphic / NotRootOfUnity at the first row of neither shape.
     """
     if not T.is_dense:
         raise ValueError("classification needs a dense operator")
     if not T.group.is_cyclic:
         raise ValueError("classification is defined for a single cyclic factor")
-    report = check_conv_homomorphism(T, "basis", tol=tol)
-    if not report.passed:
-        raise AxiomViolation(report)
     n, table = T.group.n, T.table
     m, dist = nearest = nearest_characters(table)
+    rest = np.where(character_certified(table, tol, nearest)[:, None], 0.0, table)
+    if not check_conv_homomorphism(Operator.from_table(T.group, rest), "basis", tol=tol).passed:
+        report = check_conv_homomorphism(T, "basis", tol=tol)
+        if not report.passed:
+            raise AxiomViolation(report)
     on, canonical, fails = snap_characters(table, SNAP_FLOOR * tol, nearest)
     bad = np.flatnonzero(fails)
     if bad.size:

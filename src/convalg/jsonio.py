@@ -366,6 +366,9 @@ def _reject_constant(name: str) -> float:
 
 
 def load(path: str) -> Any:
-    """Parse a JSON file; NaN and Infinity constants raise SchemaError."""
+    """Parse a JSON file; NaN and Infinity constants and too deep a nesting raise SchemaError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant)
+        try:
+            return json.load(fh, parse_constant=_reject_constant)
+        except RecursionError:
+            raise SchemaError("nested too deeply to parse") from None

@@ -29,7 +29,8 @@ one chirp table C[k, l] = e^{i pi h^2 k l},
                     sum_a conj(C[a, j])^2 ifft_N(G[i - a + c] Y[a])[j + c],
 
 at circular length N = 3S/2, over the rows with 0 <= i - a + c < S only:
-2S forward and about 3S^2/4 inverse row transforms of length N.
+2S forward and about 3S^2/4 inverse row transforms of length N.  Two outer
+products u_i v_j (PhaseSpaceFunction.outer) take one sum per axis instead.
 rho_kernel is two matrix products and a gather: K[i, j] = h R[j - i + c, i + j]
 for R = f E, E[b, s] = e^{i pi q_b (-2L + s h)} (x_i + x_j = -2L + (i + j) h).
 The gather reads R[m, s] only where m + s = 2j + c, so rows m = c + d (mod 2)
@@ -86,7 +87,17 @@ class _Table:
 
 
 class PhaseSpaceFunction(_Table):
-    """Sampled f(x_i, y_j) on a PlaneGrid, row-major in x."""
+    """Sampled f(x_i, y_j) on a PlaneGrid, row-major in x; factors is None, or for
+    one built by outer(grid, u, v) as u_i v_j, read-only copies of (u, v)."""
+
+    factors = None
+
+    @classmethod
+    def outer(cls, grid: PlaneGrid, u, v) -> "PhaseSpaceFunction":
+        u, v = (validated(w, (grid.side,), "factor values") for w in (u, v))
+        f = cls(grid, np.outer(u, v))
+        object.__setattr__(f, "factors", (u, v))
+        return f
 
     def boundary_ring_max(self) -> float:
         """Largest magnitude on the outermost ring; the truncation diagnostic."""
@@ -109,7 +120,7 @@ def _same_grid(a, b) -> PlaneGrid:
 def gaussian_pair(grid: PlaneGrid) -> PhaseSpaceFunction:
     """The centered Gaussian e^{-pi x^2} e^{-pi y^2} sampled on the grid."""
     g = np.exp(-np.pi * grid.axis ** 2)
-    return PhaseSpaceFunction(grid, np.outer(g, g))
+    return PhaseSpaceFunction.outer(grid, g, g)
 
 
 def twisted_convolve(f: PhaseSpaceFunction, g: PhaseSpaceFunction) -> PhaseSpaceFunction:
@@ -117,11 +128,20 @@ def twisted_convolve(f: PhaseSpaceFunction, g: PhaseSpaceFunction) -> PhaseSpace
 
     Evaluated exactly (to roundoff) by the chirp factorisation of the module
     docstring: one linear convolution along y per pair of rows (u, a) that
-    meets the window, at circular length 3S/2.
+    meets the window, at circular length 3S/2.  When f and g both carry
+    factors, the phase x_i x_b - x_j x_a splits the sum into one over a and
+    one over b: h^2 (M1 conj(E)) * (M2 E)^T with M[i, a] = u_f[i - a + c] u_g[a]
+    (0 off the window; M2 from the v factors) and E[a, j] = e^{i pi x_a x_j},
+    two S x S x S matrix products.
     """
     grid = _same_grid(f, g)
     S, h, c, L = grid.side, grid.step, grid.side // 2, grid.half_width
     k = np.arange(S)
+    if f.factors is not None and g.factors is not None:
+        shift = S + k[:, None] - k              # u_f[i - a + c] = pad(u_f, c)[shift]
+        M1, M2 = (np.pad(ff, c)[shift] * gg for ff, gg in zip(f.factors, g.factors))
+        E = np.exp(1j * np.pi * np.outer(grid.axis, grid.axis))
+        return PhaseSpaceFunction(grid, h * h * (M1 @ E.conj()) * (M2 @ E).T)
     C = np.exp(1j * np.pi * h * h * np.outer(k, k))
     drift = np.exp(2j * np.pi * L * h * k)
     # A linear convolution of two length-S rows has indices 0..2S-2, of which

@@ -15,15 +15,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from convalg import (Group, Operator, PlaneGrid, Signal, apply, construct, convhom, convolve,
-                     delta, errors, pointwise_mul, rel_residual)
+from convalg import (Group, Operator, PlaneGrid, Signal, apply, check_conv_homomorphism,
+                     construct, convhom, convolve, delta, errors, pointwise_mul, rel_residual)
+from convalg.convhom import ConvClassification
 from convalg.errors import ConvalgError
 from convalg.exchange import SWEEP_SIGNALS, ExchangeClassification, construct_exchange
-from convalg.groups import convolve_values
+from convalg.groups import SNAP_FLOOR, convolve_values, nearest_characters
 from convalg.operators import DEFAULT_TOL, AxiomReport, Witness, check_identities
 
 sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
 from report_bytes import describe  # noqa: E402
+from report_bytes import DEEP, DEEP_READERS  # noqa: E402, F401 (the CLI tests' deep document)
 
 
 def direct_convolve(f: Signal, g: Signal) -> np.ndarray:
@@ -252,6 +254,48 @@ def recording(group: Group, fn, seen: list) -> Operator:
         seen.append(a.values.tobytes())
         return fn(a)
     return Operator.from_function(group, run)
+
+
+# -- the Hyers-Ulam certificate at its edge, and classify without it ----------
+
+CERTIFICATE_TOLS = [1e-17, 1e-16, 1e-15, 5e-15, 1e-14, 1.5e-14, 2e-14, 5e-14, 1e-13, 1e-12,
+                    1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
+FLOOR = 64 * np.finfo(float).eps       # the certificate's rounding floor
+
+
+def at_edge(tol: float, b: float) -> float:
+    """The x >= 0 with x^2 + b x = tol - FLOOR, the edge of the certificate's bound."""
+    t = tol - FLOOR
+    return 2 * t / (b + np.sqrt(b * b + 4 * t)) if t > 0 else tol / b
+
+
+def edge_rows(chi: np.ndarray, tol: float, s: float, rng) -> dict:
+    """Rows around the character chi whose bound sits at s times its edge at tol, by kind."""
+    M = len(chi)
+    d, e = s * at_edge(tol, 3.0), s * at_edge(tol, 1.0)
+    phases = np.exp(2j * np.pi * rng.random(M))
+    # a linear phase drift whose sup distance to chi is d
+    drift = 2 * np.arcsin(min(d / 2, 1.0)) / (M - 1)
+    return {"chi + e": chi + d * phases, "(1 + d) chi": (1 + d) * chi,
+            "chi e^(ick)": chi * np.exp(1j * drift * np.arange(M)), "near zero": e * phases}
+
+
+def naive_classify(T: Operator, tol: float = DEFAULT_TOL) -> ConvClassification:
+    """convhom.classify with no certificate: the basis check on every row of T first,
+    then each row judged by naive_snap_characters."""
+    report = check_conv_homomorphism(T, "basis", tol=tol)
+    if not report.passed:
+        raise errors.AxiomViolation(report)
+    n, table = T.group.n, T.table
+    m, dist = nearest = nearest_characters(table)
+    on, canonical, fails = naive_snap_characters(table, SNAP_FLOOR * tol, nearest)
+    for eta in range(n):
+        if fails[eta] == 1:
+            raise errors.RowNotHomomorphic(eta, float(np.max(np.abs(table[eta]))))
+        if fails[eta] == 2:
+            raise errors.NotRootOfUnity(eta, complex(table[eta, 1 % n]), float(dist[eta]))
+    sigma = {eta: int(-m[eta]) % n for eta in range(n) if on[eta]}
+    return ConvClassification(tuple(sigma), sigma, rel_residual(table, canonical))
 
 
 # -- tables that reach classify's gates once the basis check is stubbed to pass ----

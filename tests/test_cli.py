@@ -13,7 +13,8 @@ from convalg.groups import Group
 from convalg.intertwine import construct_intertwiner
 from convalg.operators import AxiomReport, Operator
 
-from helpers import CRASH_CASES, edited_fixture, passing_check, past_the_check
+from helpers import (CRASH_CASES, DEEP, DEEP_READERS, edited_fixture, passing_check,
+                     past_the_check)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -495,6 +496,14 @@ class TestBoundaryCrashes:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert [f.name for f in tmp_path.iterdir()] == ["doc.json"]
+
+    @pytest.mark.parametrize("command", DEEP_READERS)
+    def test_deep_nesting(self, tmp_path, capsys, command):
+        p = tmp_path / "doc.json"
+        p.write_text(DEEP)
+        assert run([command, "--input", str(p), "--output", str(tmp_path / "rep.json")]) == 2
+        assert capsys.readouterr() == ("", "error: $: nested too deeply to parse\n")
         assert [f.name for f in tmp_path.iterdir()] == ["doc.json"]
 
     @pytest.mark.parametrize("value", [[1], 7, False, "x"])

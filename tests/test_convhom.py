@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from convalg import (Group, Operator, check_conv_homomorphism, classify,
-                     construct, rel_residual)
+                     construct, convhom, rel_residual)
 from convalg.errors import AxiomViolation, NotRootOfUnity, RowNotHomomorphic
-from convalg.groups import nearest_characters
+from convalg.groups import nearest_characters, unit_roots
 
-from helpers import passing_check, past_the_check
+from helpers import (CERTIFICATE_TOLS, edge_rows, naive_classify, outcome, passing_check,
+                     past_the_check)
 
 
 def random_support_sigma(n, rng):
@@ -246,6 +247,43 @@ class TestPassImpliesClassifies:
                     assert list(c.support) == support
                     assert c.sigma == sigma
         assert passed >= 40
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 128])
+    def test_a_reduced_pass_is_a_full_pass(self, monkeypatch, n):
+        # canonical tables with edge rows at s times their bound's edge, from below
+        # and above it: wherever classify's check of the uncertified rows passes,
+        # the check of every row passes at that tol, and classify's outcome is
+        # the uncertified oracle's, bit for bit
+        passes = []
+
+        def spy(T, mode, tol):
+            report = check_conv_homomorphism(T, mode, tol=tol)
+            passes.append(report.passed)
+            return report
+
+        monkeypatch.setattr(convhom, "check_conv_homomorphism", spy)
+        g, k = Group(n), np.arange(n)
+        rng = np.random.default_rng(n)
+        runs = {1: 0, 2: 0}
+        for tol in CERTIFICATE_TOLS:
+            for s in (0.5, 0.9, 0.999, 1.0, 1.001, 1.1):
+                support = sorted(int(e) for e in np.flatnonzero(rng.random(n) < 0.7))
+                table = construct(g, support, {e: int(rng.integers(min(n, 4))) for e in support}).table
+                chi = unit_roots(-k * int(rng.integers(n)), n)
+                rows = list(edge_rows(chi, tol, s, rng).values())
+                edited = table.copy()
+                for r, eta in enumerate(rng.choice(n, min(n, 4), replace=False)):
+                    edited[eta] = rows[(r + int(rng.integers(4))) % 4]
+                T = Operator.from_table(g, edited)
+                passes.clear()
+                assert outcome(classify, T, tol) == outcome(naive_classify, T, tol), (tol, s)
+                runs[len(passes)] += 1
+                if passes[0]:
+                    assert check_conv_homomorphism(T, tol=tol).passed, (tol, s)
+        # both the reduced pass and the fall back to the full check are reached
+        assert min(runs.values()) >= 5, runs
 
 
 class TestCompletenessSearch:

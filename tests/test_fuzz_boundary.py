@@ -24,7 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from convalg import cli  # noqa: E402
 
-from helpers import CRASH_CASES, FIXTURES, edited_fixture  # noqa: E402
+from helpers import CRASH_CASES, DEEP, FIXTURES, edited_fixture  # noqa: E402
 
 OPERATOR_COMMANDS = ("classify-conv", "check-axioms", "classify-exchange",
                      "classify-intertwiner")
@@ -106,6 +106,7 @@ def _reject_constant(name):
 @example(case=crash_case("huge-m1"))
 @example(case=crash_case("f-not-object"))
 @example(case=crash_case("entry-1e308", to_stdout=True))
+@example(case=("classify-torus", DEEP, False))
 def test_mutated_fixture(case):
     command, text, to_stdout = case
     with tempfile.TemporaryDirectory() as work:

@@ -17,10 +17,11 @@ def fixture_runs(tmp_path_factory):
 
 
 def test_report_bytes_on_fixtures(fixture_runs):
-    # a bare --seeds records the fixtures, their edits, the product-group, overflow and gates
-    # runs only
+    # a bare --seeds records the fixtures, their edits, the product-group, overflow, gates,
+    # twisted and deep runs only
     assert sorted(p.name for p in fixture_runs.iterdir()) == [
-        "fixtures", "fixtures-edited", "fixtures-stdout", "gates", "overflow", "product"]
+        "deep", "fixtures", "fixtures-edited", "fixtures-stdout", "gates", "overflow", "product",
+        "twisted"]
     for sink in ("fixtures", "fixtures-stdout"):
         runs = sorted((fixture_runs / sink).iterdir())
         assert len(runs) == 7 * len(list((ROOT / "fixtures").glob("*.json")))
@@ -105,6 +106,32 @@ def test_report_bytes_on_gates(fixture_runs):
         assert error["type"] == "CharacterEquationViolation" and error["details"]["xi"] in (-1, 1)
 
 
+def test_report_bytes_on_twisted(fixture_runs):
+    # the synthesized Gaussian on both sides of S = (2L)^2 at each S, and the bundled pair
+    runs = {p.name: sections(p) for p in (fixture_runs / "twisted").iterdir()}
+    grids = [(2, "0.5"), (2, "1"), (16, "1.5"), (16, "2.5"), (64, "3.5"), (64, "4"),
+             (64, "4.5"), (128, "5"), (128, "6")]
+    assert sorted(runs) == sorted([f"S{S}-L{L}.txt" for S, L in grids]
+                                  + ["gaussian_pair_s64.txt"])
+    for S, L in grids:
+        result = json.loads(runs[f"S{S}-L{L}.txt"]["report"])["result"]
+        assert result["phases_resolved"] == (S >= (2 * float(L)) ** 2), (S, L)
+    pair, synthesized = (json.loads(runs[name]["report"])["result"]
+                         for name in ("gaussian_pair_s64.txt", "S64-L4.txt"))
+    assert abs(pair.pop("relative_error") - synthesized.pop("relative_error")) <= 1e-13
+    assert pair == synthesized
+
+
+def test_report_bytes_on_deep(fixture_runs):
+    # each command that reads --input exits 2 with one line on a document nested too deep
+    runs = {p.name: sections(p) for p in (fixture_runs / "deep").iterdir()}
+    assert sorted(runs) == sorted(f"{c}.txt" for c in (
+        "classify-conv", "check-axioms", "classify-torus", "construct", "verify-twisted"))
+    for run in runs.values():
+        assert (run["exit"], run["stdout"], run["stderr"], run["report"]) == (
+            "exit: 2", "", "error: $: nested too deeply to parse\n", "")
+
+
 def sections(path: pathlib.Path) -> dict:
     """The argv, exit, stdout, stderr and report sections of one recorded run."""
     text = path.read_text(encoding="utf-8")
@@ -131,8 +158,8 @@ def test_report_bytes_on_workload_seed(tmp_path):
     subprocess.run([sys.executable, str(ROOT / "tools" / "report_bytes.py"), str(ROOT),
                     str(tmp_path), "--seeds", "3"], check=True, timeout=120)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "fixtures", "fixtures-edited", "fixtures-stdout", "gates", "overflow", "product", "seed3",
-        "signal-algebra"]
+        "deep", "fixtures", "fixtures-edited", "fixtures-stdout", "gates", "overflow", "product",
+        "seed3", "signal-algebra", "twisted"]
     assert all(p.read_text(encoding="utf-8").splitlines()[1] in ("exit: 0", "exit: 1", "exit: 2")
                for p in (tmp_path / "seed3").iterdir())
     assert [p.name for p in (tmp_path / "signal-algebra").iterdir()] == ["seed3.txt"]

@@ -14,6 +14,8 @@ from convalg import torus
 from convalg.groups import character_certified, nearest_characters
 from convalg.torus import KernelFamily, character
 
+from helpers import CERTIFICATE_TOLS, FLOOR, edge_rows
+
 sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
@@ -219,31 +221,7 @@ class TestPassImpliesClassifies:
         assert passed >= 200
 
 
-FLOOR = 64 * np.finfo(float).eps       # the certificate's rounding floor
-
-
-def at_edge(tol: float, b: float) -> float:
-    """The x >= 0 with x^2 + b x = tol - FLOOR, the edge of the certificate's bound."""
-    t = tol - FLOOR
-    return 2 * t / (b + np.sqrt(b * b + 4 * t)) if t > 0 else tol / b
-
-
-def edge_kernels(grid: TorusGrid, a: int, tol: float, s: float, rng) -> dict:
-    """Kernels whose bound sits at s times its edge at tol, by kind."""
-    M = grid.M
-    chi = character(grid, a)
-    d, e = s * at_edge(tol, 3.0), s * at_edge(tol, 1.0)
-    phases = np.exp(2j * np.pi * rng.random(M))
-    # a linear phase drift whose sup distance to chi is d
-    drift = 2 * np.arcsin(min(d / 2, 1.0)) / (M - 1)
-    return {"chi + e": chi + d * phases, "(1 + d) chi": (1 + d) * chi,
-            "chi e^(ick)": chi * np.exp(1j * drift * np.arange(M)), "near zero": e * phases}
-
-
 class TestCertificate:
-    TOLS = [1e-17, 1e-16, 1e-15, 5e-15, 1e-14, 1.5e-14, 2e-14, 5e-14, 1e-13, 1e-12,
-            1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
-
     @pytest.mark.parametrize("M", [2, 3, 8, 64, 128])
     def test_a_certified_kernel_passes_the_check(self, M):
         # around the edge of each bound, from below and above it: wherever the
@@ -251,10 +229,10 @@ class TestCertificate:
         grid = TorusGrid(M)
         rng = np.random.default_rng(M)
         fired: dict[str, int] = {}
-        for tol in self.TOLS:
+        for tol in CERTIFICATE_TOLS:
             for a in sorted({0, M // 2, int(rng.integers(M))}):
                 for s in (0.5, 0.9, 0.999, 1.0, 1.001, 1.1):
-                    kernels = edge_kernels(grid, a, tol, s, rng)
+                    kernels = edge_rows(character(grid, a), tol, s, rng)
                     rows = np.array(list(kernels.values()))
                     certified = character_certified(rows, tol, nearest_characters(rows))
                     assert tol > 1e-17 or not certified.any()

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from convalg import twisted
+from convalg import jsonio, twisted
 from convalg.errors import GridMismatch
 from convalg.twisted import (OperatorKernel, PhaseSpaceFunction, PlaneGrid,
                              compose_kernels, gaussian_pair, relative_l2,
                              rho_kernel, twisted_convolve,
                              verify_rho_homomorphism)
-from helpers import OffLatticeShift, lattice_index, rho_point
+from helpers import FIXTURES, OffLatticeShift, lattice_index, rho_point
 
 
 def direct_twisted_convolve(f, g):
@@ -143,6 +143,74 @@ class TestTwistedConvolve:
         with pytest.raises(GridMismatch):
             twisted_convolve(gaussian_pair(PlaneGrid(4.0, 16)),
                              gaussian_pair(PlaneGrid(4.0, 32)))
+
+
+def sup_relative(a, b) -> float:
+    scale = np.max(np.abs(b))
+    return float(np.max(np.abs(a - b)) / scale) if scale else float(np.max(np.abs(a)))
+
+
+def plain(f: PhaseSpaceFunction) -> PhaseSpaceFunction:
+    """f's values with no factors: twisted_convolve's chirp loop."""
+    return PhaseSpaceFunction(f.grid, f.values)
+
+
+class TestFactoredPairs:
+    def test_outer_keeps_read_only_factors(self):
+        grid, u = PlaneGrid(1.0, 4), np.arange(4.0)
+        f = PhaseSpaceFunction.outer(grid, u, 1j * u)
+        u[0] = np.nan
+        assert np.array_equal(f.values, np.outer(np.arange(4.0), 1j * np.arange(4.0)))
+        assert all(not w.flags.writeable and w.dtype == complex for w in f.factors)
+        assert plain(f).factors is None and gaussian_pair(grid).factors is not None
+        with pytest.raises(ValueError, match="factor values must have shape"):
+            PhaseSpaceFunction.outer(grid, u[:3], u)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_the_chirp_loop(self, seed):
+        # random complex factors on even S in 2..96 and L in 0.5..6: f is g, f and g
+        # apart, a zero factor, and mass at the window edge
+        rng = np.random.default_rng(seed)
+        S, L = 2 * int(rng.integers(1, 49)), float(rng.uniform(0.5, 6.0))
+        grid = PlaneGrid(L, S)
+        u, v, w, z = (rng.normal(size=S) + 1j * rng.normal(size=S) for _ in range(4))
+        kind = ("same", "apart", "zero", "edge")[seed % 4]
+        if kind == "zero":
+            w = np.zeros(S)
+        if kind == "edge":
+            u[[0, -1]] *= 1e3
+            z[[0, -1]] *= 1e3
+        f = PhaseSpaceFunction.outer(grid, u, v)
+        g = f if kind == "same" else PhaseSpaceFunction.outer(grid, w, z)
+        got = twisted_convolve(f, g).values
+        assert sup_relative(got, twisted_convolve(plain(f), plain(g)).values) <= 1e-13
+        if kind == "zero":
+            assert not got.any()
+
+    @pytest.mark.parametrize("L, S", ORACLE_GRIDS + SMALL_GRIDS)
+    def test_matches_direct_quadruple_sum(self, L, S):
+        grid = PlaneGrid(L, S)
+        rng = np.random.default_rng(S)
+        f, g = (PhaseSpaceFunction.outer(grid, *(rng.normal(size=(2, S))
+                                                 + 1j * rng.normal(size=(2, S))))
+                for _ in range(2))
+        got = twisted_convolve(f, g).values
+        assert np.max(np.abs(got - direct_twisted_convolve(f, g))) <= 1e-12
+
+    @pytest.mark.parametrize("L, S", [(0.5, 16), (1.0, 64), (4.0, 64), (4.0, 128), (6.0, 96)])
+    def test_gaussian_report_within_roundoff_of_the_chirp_loop(self, L, S):
+        f = gaussian_pair(PlaneGrid(L, S))
+        factored = verify_rho_homomorphism(f, f)
+        chirp = verify_rho_homomorphism(plain(f), plain(f))
+        assert abs(factored.relative_error - chirp.relative_error) <= 1e-13
+        assert (factored.truncation_f, factored.phases_resolved) == (
+            chirp.truncation_f, chirp.phases_resolved)
+
+    def test_pair_from_json_takes_the_chirp_loop(self):
+        f, g = jsonio.pair_from_json(jsonio.load(FIXTURES / "gaussian_pair_s64.json"))
+        assert f.factors is None and g.factors is None
+        # the fixture's relative error, bit for bit, as before factored pairs
+        assert verify_rho_homomorphism(f, g).relative_error.hex() == "0x1.cf30583f8dd16p-47"
 
 
 class TestRhoPoint:

@@ -17,17 +17,20 @@ whose images themselves overflow, to a file and to stdout (OUTDIR/overflow).  Th
 gates runs (OUTDIR/gates) put one row at eps times a character into an n = 8
 canonical table, for `classify-conv` and `check-axioms`, and one kernel at eps
 times a character, next to one at (1 + 2 tol) times a character, into an M = 64
-family for `classify-torus`, so that a support decision that moves shows.  Then,
+family for `classify-torus`, so that a support decision that moves shows.  The
+twisted runs (OUTDIR/twisted) are `verify-twisted` on the synthesized Gaussian
+of TWISTED_GRIDS and on the bundled pair, and the deep runs (OUTDIR/deep) give
+each command that reads `--input` a document nested 1,000 lists deep.  Then,
 for each seed (`--seeds` with no value runs the fixtures only), the
 requests that `perfbench/workloads.py` generates: `cli_workload`'s commands
 and `signal_algebra`'s library calls.  Each CLI run goes in-process through
 `convalg.cli.run` of CHECKOUT and leaves one file in OUTDIR holding its
-argv, exit code, stdout, stderr and report file, with the checkout and
-work-directory paths replaced by `<checkout>` and `<work>`.  The library
-calls of one seed go to one file, a block per request: its verdict against
-the workload's known answer and its outcome (`describe`).  Running it on two
-checkouts and `diff -r` of the two OUTDIRs shows every report byte and every
-library outcome that differs.
+argv, exit code (or the exception it raised), stdout, stderr and report
+file, with the checkout and work-directory paths replaced by `<checkout>`
+and `<work>`.  The library calls of one seed go to one file, a block per
+request: its verdict against the workload's known answer and its outcome
+(`describe`).  Running it on two checkouts and `diff -r` of the two OUTDIRs
+shows every report byte and every library outcome that differs.
 """
 
 from __future__ import annotations
@@ -63,6 +66,13 @@ OVERFLOW = (("identity_n4", ("columns", 0, 0), 1e300,
 # the GATES runs, at --tol GATE_TOL: eps = each of GATE_SCALES times the tol, on both sides
 # of the character check and near the zero gate of the row classifiers
 GATE_TOL, GATE_SCALES = 1e-9, (1.5, 2.0, 2.5, 3.0)
+# the synthesized verify-twisted runs, (S, L): at each S one L on each side of S = (2L)^2,
+# and the fixture's grid, whose Gaussian the fixture holds without its factors
+TWISTED_GRIDS = ((2, 0.5), (2, 1.0), (16, 1.5), (16, 2.5), (64, 3.5), (64, 4.0), (64, 4.5),
+                 (128, 5.0), (128, 6.0))
+# the DEEP runs: a document nested past json's parser depth, under each command reading it
+DEEP = '{"schema": 1, "group": [2], "columns": ' + "[" * 1000 + "]" * 1000 + "}"
+DEEP_READERS = ("classify-conv", "check-axioms", "classify-torus", "construct", "verify-twisted")
 
 
 def edits(doc: dict):
@@ -124,12 +134,15 @@ def main(argv=None) -> int:
         report = os.path.join(work, "report.json")
         edited = os.path.join(work, "edited.json")
 
-        def record(path: pathlib.Path, argv: list[str]) -> int:
+        def record(path: pathlib.Path, argv: list[str]):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(report)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.run(argv)
+                try:
+                    code = cli.run(argv)
+                except Exception as exc:    # a checkout whose command crashes: its outcome
+                    code = f"raised {type(exc).__name__}: {exc}"
             doc = pathlib.Path(report).read_text(encoding="utf-8") if os.path.exists(report) else ""
             text = (f"argv: {' '.join(argv)}\nexit: {code}\nstdout:\n{out.getvalue()}"
                     f"stderr:\n{err.getvalue()}report:\n{doc}")
@@ -204,6 +217,18 @@ def main(argv=None) -> int:
             record(args.outdir / "gates" / f"m64-eps{scale:g}-classify-torus.txt",
                    ["classify-torus", "--input", edited, "--tol", repr(GATE_TOL),
                     "--output", report])
+
+        for S, L in TWISTED_GRIDS:
+            record(args.outdir / "twisted" / f"S{S}-L{L:g}.txt",
+                   ["verify-twisted", "--grid-S", str(S), "--grid-L", repr(L), "--output", report])
+        record(args.outdir / "twisted" / "gaussian_pair_s64.txt",
+               ["verify-twisted", "--input", str(checkout / "fixtures" / "gaussian_pair_s64.json"),
+                "--output", report])
+
+        pathlib.Path(edited).write_text(DEEP, encoding="utf-8")
+        for command in DEEP_READERS:
+            record(args.outdir / "deep" / f"{command}.txt",
+                   [command, "--input", edited, "--output", report])
 
         if args.seeds:
             import workloads
